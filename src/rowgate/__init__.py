@@ -18,11 +18,11 @@ from .errors import (
     RowGateError,
     ShapeError,
 )
-from .gradcheck import GradCheckReport, gradcheck
+from .gradcheck import GradCheckReport
 from .net import GateSettings, ToySegConfig, ToySegModel
 from .optim import ParamGroup, SGDMomentum, poly_lr
-from .tensor import Tensor, parameter, tensor
-from .train import TrainConfig, TrainLog, train
+from .tensor import Tensor, parameter
+from .train import TrainConfig, TrainLog
 
 __all__ = [
     "attention", "checkpoint", "config", "data", "metrics", "net", "posenc",
@@ -30,9 +30,9 @@ __all__ = [
     "RowGateConfig", "RowGateParams", "init_params",
     "ConfigError", "DataError", "DivergenceError", "NumericalError",
     "RowGateError", "ShapeError",
-    "GradCheckReport", "gradcheck",
+    "GradCheckReport",
     "GateSettings", "ToySegConfig", "ToySegModel",
     "ParamGroup", "SGDMomentum", "poly_lr",
-    "Tensor", "parameter", "tensor",
-    "TrainConfig", "TrainLog", "train",
+    "Tensor", "parameter",
+    "TrainConfig", "TrainLog",
 ]

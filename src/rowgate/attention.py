@@ -14,7 +14,7 @@ that is constant across rows yields a gate that is constant across rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -82,9 +82,6 @@ class RowGateConfig:
     def pe_channels(self) -> int:
         """Channel count at the input of the conv layer receiving the encoding."""
         return {1: self.in_channels, 2: self.mid_channels, 3: 2 * self.mid_channels}[self.pe_layer]
-
-    def with_channels(self, in_channels: int, out_channels: int) -> "RowGateConfig":
-        return replace(self, in_channels=in_channels, out_channels=out_channels)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Flat binary model checkpoints.
 
 Layout: ``RGCK`` magic, u32 format version, 32-byte SHA-256 of the
-resolved configuration text, u32 blob count, then per blob a u16
+model configuration text (``config.render_model``), u32 blob count, then per blob a u16
 name length, the UTF-8 name, a u8 rank, u32 extents, and the payload as
 little-endian float64.  Loading verifies the digest so a checkpoint can
 only be restored into the configuration that produced it.

@@ -2,8 +2,9 @@
 
 One ``key=value`` per line, ``#`` comments, flag overrides on top of
 file values, unknown keys rejected.  ``render`` emits a canonical sorted
-form that re-parses to the identical mapping, and the canonical text is
-also what checkpoint digests are computed from.
+form that re-parses to the identical mapping; ``render_model`` renders
+only the keys that shape the model, the text checkpoint digests are
+computed from.
 """
 
 from __future__ import annotations
@@ -97,6 +98,11 @@ def render(values: dict[str, str]) -> str:
     lines = ["# resolved run configuration"]
     lines += [f"{key}={values[key]}" for key in sorted(values)]
     return "\n".join(lines) + "\n"
+
+
+def render_model(values: dict[str, str]) -> str:
+    """Canonical text of ``seed``, ``model.*`` and ``gate.*``: what shapes the model."""
+    return render({k: v for k, v in values.items() if k == "seed" or k.startswith(("model.", "gate."))})
 
 
 # -- typed getters -----------------------------------------------------------

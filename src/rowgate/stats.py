@@ -15,9 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data import IGNORE_LABEL
 from .errors import ConfigError, DataError
-
-IGNORE_LABEL = 255
 
 
 @dataclass

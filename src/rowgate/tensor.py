@@ -8,18 +8,21 @@ are validated at op boundaries and the only implicit broadcast allowed is
 a rank-2 (channels x height) operand against a rank-3
 (channels x height x width) one, i.e. per-row values copied across width.
 
-Averaging ops (width pooling, adaptive height pooling) are anchored at
-the maximum of each window: ``m + mean(x - m)`` instead of ``mean(x)``.
-The two are mathematically identical and share the same gradient, but
-the anchored form maps constant inputs to the identical constant
-bit-for-bit (downstream round-trip guarantees rely on this), and the
-max anchor keeps the result invariant under reordering of exactly
-representable window values.
+Averaging and interpolating ops are anchored: width pooling computes
+``m + mean(x - m)`` with ``m`` the row maximum, and height resampling
+and 2D upsampling compute ``a + sum_k w_k (x_k - a)`` with ``a`` the
+first input tap of each output.  The anchored forms are mathematically
+the plain weighted sums and share their gradients, but they map constant
+inputs to the identical constant bit-for-bit (downstream round-trip
+guarantees rely on this).  The max anchor of width pooling also keeps
+its result invariant under reordering of exactly representable values
+within a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -495,21 +498,64 @@ def pool_width(x: Tensor, mode: str = "avg") -> Tensor:
     return out
 
 
-def _linear_resample_plan(n_in: int, n_out: int):
-    """Align-to-centers linear interpolation indices and fractions."""
-    pos = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-    pos = np.clip(pos, 0.0, n_in - 1.0)
-    lo = np.floor(pos).astype(np.intp)
-    lo = np.minimum(lo, n_in - 1)
-    hi = np.minimum(lo + 1, n_in - 1)
-    t = pos - lo
-    return lo, hi, t
+@lru_cache(maxsize=None)
+def _resize_plan(n_in: int, n_out: int) -> tuple[Array, Array, Array]:
+    """Read-only (taps, weights, matrix) resizing one axis from n_in to n_out.
+
+    Output j is ``sum_k weights[j, k] * x[taps[j, k]]`` over K taps (unused
+    taps repeat the first with weight 0); ``matrix`` is the same map as a
+    dense (n_out, n_in) array whose rows sum to 1.  Shrinking averages
+    adaptive windows; growing or keeping the size blends two neighbours at
+    align-to-centers positions, so equal sizes are the identity.
+    """
+    j = np.arange(n_out)
+    if n_out < n_in:
+        starts = (j * n_in) // n_out
+        counts = -(-((j + 1) * n_in) // n_out) - starts  # ceil division for the window end
+        k = np.arange(counts.max())
+        inside = k < counts[:, None]
+        taps = np.where(inside, starts[:, None] + k, starts[:, None])
+        weights = inside / counts[:, None]
+    else:
+        pos = np.clip((j + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+        lo = np.minimum(np.floor(pos).astype(np.intp), n_in - 1)
+        t = pos - lo
+        taps = np.stack([lo, np.minimum(lo + 1, n_in - 1)], axis=1)
+        weights = np.stack([1.0 - t, t], axis=1)
+    matrix = np.zeros((n_out, n_in))
+    np.add.at(matrix, (j[:, None], taps), weights)
+    for a in (taps, weights, matrix):
+        a.flags.writeable = False
+    return taps, weights, matrix
 
 
-def _adaptive_windows(n_in: int, n_out: int):
-    starts = (np.arange(n_out) * n_in) // n_out
-    ends = -(-(np.arange(1, n_out + 1) * n_in) // n_out)  # ceil division
-    return starts, ends
+def _resize(x: Tensor, sizes: dict[int, int], op: str) -> Tensor:
+    """Resize ``x`` along each axis of ``sizes`` in turn, as one graph node.
+
+    Each output is anchored at its first tap, ``a + sum_k w_k (x_k - a)``,
+    so constants come out as the identical constant bit-for-bit; the
+    backward pass is one matmul per axis with the plan matrix.
+    """
+    plans = [(axis, _resize_plan(x.shape[axis], int(n))) for axis, n in sizes.items()]
+    y = x.data
+    for axis, (taps, weights, _) in plans:
+        shape = [1] * y.ndim
+        shape[axis] = -1
+        anchor = np.take(y, taps[:, 0], axis=axis)
+        acc = anchor
+        for k in range(1, taps.shape[1]):
+            acc = acc + weights[:, k].reshape(shape) * (np.take(y, taps[:, k], axis=axis) - anchor)
+        y = acc
+    out = Tensor(y, x.requires_grad, (x,), None, op)
+
+    def backward(g: Array) -> None:
+        if x.requires_grad:
+            for axis, (_, _, matrix) in reversed(plans):
+                g = np.moveaxis(np.moveaxis(g, axis, -1) @ matrix, -1, axis)
+            x.accumulate_grad(g)
+
+    out._backward = backward
+    return out
 
 
 def resample_height(x: Tensor, h_target: int) -> Tensor:
@@ -524,83 +570,17 @@ def resample_height(x: Tensor, h_target: int) -> Tensor:
     h_target = int(h_target)
     if h_target < 1:
         raise ConfigError(f"resample_height: target height must be >= 1, got {h_target}")
-    c, h = x.shape
-
-    if h_target == h:
-        out = Tensor(x.data.copy(), x.requires_grad, (x,), None, "resample_id")
-
-        def backward_id(g: Array) -> None:
-            if x.requires_grad:
-                x.accumulate_grad(g)
-
-        out._backward = backward_id
-        return out
-
-    if h_target < h:
-        starts, ends = _adaptive_windows(h, h_target)
-        y = np.empty((c, h_target))
-        for j in range(h_target):
-            window = x.data[:, starts[j] : ends[j]]
-            anchor = window.max(axis=1)
-            y[:, j] = anchor + (window - anchor[:, None]).mean(axis=1)
-        out = Tensor(y, x.requires_grad, (x,), None, "resample_down")
-
-        def backward_down(g: Array) -> None:
-            if x.requires_grad:
-                dx = np.zeros_like(x.data)
-                for j in range(h_target):
-                    n = ends[j] - starts[j]
-                    dx[:, starts[j] : ends[j]] += g[:, j : j + 1] / n
-                x.accumulate_grad(dx)
-
-        out._backward = backward_down
-        return out
-
-    lo, hi, t = _linear_resample_plan(h, h_target)
-    # x_lo + t * (x_hi - x_lo): exact on constants since the bracket is 0.
-    y = x.data[:, lo] + t[None, :] * (x.data[:, hi] - x.data[:, lo])
-    out = Tensor(y, x.requires_grad, (x,), None, "resample_up")
-
-    def backward_up(g: Array) -> None:
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            np.add.at(dx.T, lo, ((1.0 - t)[None, :] * g).T)
-            np.add.at(dx.T, hi, (t[None, :] * g).T)
-            x.accumulate_grad(dx)
-
-    out._backward = backward_up
-    return out
+    return _resize(x, {1: h_target}, "resample_height")
 
 
 def upsample2d(x: Tensor, h_out: int, w_out: int) -> Tensor:
     """Separable align-to-centers linear upsampling of a (C, H, W) map."""
     if x.data.ndim != 3:
         raise ShapeError(f"upsample2d input must be rank 3, got {x.shape}")
-    c, h, w = x.shape
+    _, h, w = x.shape
     if h_out < h or w_out < w:
         raise ConfigError(f"upsample2d: target {h_out}x{w_out} smaller than input {h}x{w}")
-    lo_h, hi_h, t_h = _linear_resample_plan(h, h_out)
-    lo_w, hi_w, t_w = _linear_resample_plan(w, w_out)
-
-    yh = x.data[:, lo_h, :] + t_h[None, :, None] * (x.data[:, hi_h, :] - x.data[:, lo_h, :])
-    y = yh[:, :, lo_w] + t_w[None, None, :] * (yh[:, :, hi_w] - yh[:, :, lo_w])
-    out = Tensor(y, x.requires_grad, (x,), None, "upsample2d")
-
-    def backward(g: Array) -> None:
-        if not x.requires_grad:
-            return
-        gh = np.zeros((c, h_out, w))
-        for j in range(w_out):
-            gh[:, :, lo_w[j]] += (1.0 - t_w[j]) * g[:, :, j]
-            gh[:, :, hi_w[j]] += t_w[j] * g[:, :, j]
-        dx = np.zeros_like(x.data)
-        for i in range(h_out):
-            dx[:, lo_h[i], :] += (1.0 - t_h[i]) * gh[:, i, :]
-            dx[:, hi_h[i], :] += t_h[i] * gh[:, i, :]
-        x.accumulate_grad(dx)
-
-    out._backward = backward
-    return out
+    return _resize(x, {1: h_out, 2: w_out}, "upsample2d")
 
 
 # ---------------------------------------------------------------------------

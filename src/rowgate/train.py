@@ -55,14 +55,6 @@ class TrainLog:
             for row in zip(self.iterations, self.lrs, self.losses):
                 writer.writerow([row[0], f"{row[1]:.10g}", f"{row[2]:.10g}"])
 
-    def smoothed_losses(self, window: int = 25) -> list[float]:
-        """Trailing-window means of the loss curve, for trend diagnostics."""
-        out = []
-        for i in range(len(self.losses)):
-            lo = max(0, i - window + 1)
-            out.append(float(np.mean(self.losses[lo : i + 1])))
-        return out
-
 
 def make_optimizer(model: ToySegModel, config: TrainConfig) -> SGDMomentum:
     """Two weight-decay groups: the main network and the gate modules."""

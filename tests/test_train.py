@@ -106,4 +106,3 @@ class TestOverfit:
         report = evaluate(model, data)
         assert report.pixel_accuracy > 0.99, f"accuracy {report.pixel_accuracy}"
         assert log.losses[-1] < 0.1
-        assert len(log.smoothed_losses()) == 300
