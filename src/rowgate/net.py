@@ -29,6 +29,7 @@ from .tensor import Tensor, concat_channels, conv2d, relu, tensor, upsample2d
 
 GATE_SITES = (1, 2, 3, 4, 5)
 TOTAL_STRIDE = 4
+LOGIT_STRIDE = 2  # stride of the decoder, the logits and the L5 gate rows
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ class ToySegModel:
         if 2 in self.gates:
             ctx = self._gate(2, x, ctx, training, rng, maps)
 
-        up = upsample2d(ctx, h // 2, w // 2)
+        up = upsample2d(ctx, h // LOGIT_STRIDE, w // LOGIT_STRIDE)
         fused = relu(ly["dec"](concat_channels([up, skip])))
         if 3 in self.gates:
             fused = self._gate(3, ctx, fused, training, rng, maps)

@@ -17,6 +17,10 @@ inputs to the identical constant bit-for-bit (downstream round-trip
 guarantees rely on this).  The max anchor of width pooling also keeps
 its result invariant under reordering of exactly representable values
 within a row.
+
+Padding is hand-rolled (``_pad`` and its adjoint ``_unpad``) because the
+gate convolves maps of a few rows, where ``np.pad``'s per-call overhead
+costs more than the convolution itself.
 """
 
 from __future__ import annotations
@@ -227,7 +231,7 @@ def sum_all(x: Tensor) -> Tensor:
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.size
-    out = Tensor(np.asarray(x.data.mean()), x.requires_grad, (x,), None, "mean")
+    out = Tensor(np.asarray(x.data.sum() / n), x.requires_grad, (x,), None, "mean")
 
     def backward(g: Array) -> None:
         if x.requires_grad:
@@ -257,7 +261,8 @@ def relu(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     # Stable in both tails: never exponentiates a positive argument.
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s, x.requires_grad, (x,), None, "sigmoid")
 
     def backward(g: Array) -> None:
@@ -289,6 +294,44 @@ def clip_open_unit(x: Tensor, margin: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
+
+
+def _pad(a: Array, pads: Sequence[int], pad_mode: str) -> Array:
+    """Pad the trailing ``len(pads)`` axes of ``a`` by ``pads[i]`` per side, in one buffer.
+
+    ``"zero"`` fills with zeros and ``"replicate"`` repeats the edge values:
+    bitwise what ``np.pad`` gives in its ``constant`` and ``edge`` modes,
+    also for pads wider than the extent.
+    """
+    lead = a.ndim - len(pads)
+    shape = a.shape[:lead] + tuple(n + 2 * p for n, p in zip(a.shape[lead:], pads))
+    out = np.zeros(shape) if pad_mode == "zero" else np.empty(shape)
+    out[(slice(None),) * lead + tuple(slice(p, p + n) for n, p in zip(a.shape[lead:], pads))] = a
+    if pad_mode == "replicate":
+        # axis by axis over the full extent of the others, so corners come out right
+        for axis, p in enumerate(pads, lead):
+            if p:
+                n = a.shape[axis]
+                pre = (slice(None),) * axis
+                out[pre + (slice(0, p),)] = out[pre + (slice(p, p + 1),)]
+                out[pre + (slice(p + n, None),)] = out[pre + (slice(p + n - 1, p + n),)]
+    return out
+
+
+def _unpad(g: Array, pads: Sequence[int], pad_mode: str) -> Array:
+    """Adjoint of ``_pad``: crop the interior, folding replicate pads into the edges."""
+    lead = g.ndim - len(pads)
+    if pad_mode == "zero":
+        return g[(slice(None),) * lead + tuple(slice(p, n - p) for n, p in zip(g.shape[lead:], pads))].copy()
+    for axis, p in enumerate(pads, lead):
+        n = g.shape[axis] - 2 * p
+        pre = (slice(None),) * axis
+        d = g[pre + (slice(p, p + n),)].copy()
+        if p:
+            d[pre + (0,)] += g[pre + (slice(0, p),)].sum(axis=axis)
+            d[pre + (-1,)] += g[pre + (slice(p + n, None),)].sum(axis=axis)
+        g = d
+    return g
 
 
 @dataclass
@@ -326,12 +369,10 @@ def conv1d(x: Tensor, params: ConvParams1D, pad_mode: str = "zero") -> Tensor:
         raise ConfigError(f"conv1d: unknown pad_mode {pad_mode!r}")
     length = x.shape[1]
     p = (k - 1) // 2
-    if pad_mode == "zero":
-        xp = np.pad(x.data, ((0, 0), (p, p)))
-    else:
-        xp = np.pad(x.data, ((0, 0), (p, p)), mode="edge")
+    xp = _pad(x.data, (p,), pad_mode)
 
-    y = np.broadcast_to(b.data[:, None], (c_out, length)).copy()
+    y = np.empty((c_out, length))
+    y[...] = b.data[:, None]
     for ki in range(k):
         y += w.data[:, :, ki] @ xp[:, ki : ki + length]
     out = Tensor(y, _needs(x, w, b), (x, w, b), None, "conv1d")
@@ -348,11 +389,7 @@ def conv1d(x: Tensor, params: ConvParams1D, pad_mode: str = "zero") -> Tensor:
             dxp = np.zeros_like(xp)
             for ki in range(k):
                 dxp[:, ki : ki + length] += w.data[:, :, ki].T @ g
-            dx = dxp[:, p : p + length].copy()
-            if pad_mode == "replicate" and p > 0:
-                dx[:, 0] += dxp[:, :p].sum(axis=1)
-                dx[:, -1] += dxp[:, p + length :].sum(axis=1)
-            x.accumulate_grad(dx)
+            x.accumulate_grad(_unpad(dxp, (p,), pad_mode))
 
     out._backward = backward
     return out
@@ -387,10 +424,7 @@ def conv2d(
     _, h, w_in = x.shape
     ph = dilation * (kh - 1) // 2
     pw = dilation * (kw - 1) // 2
-    if pad_mode == "zero":
-        xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    else:
-        xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)), mode="edge")
+    xp = _pad(x.data, (ph, pw), pad_mode)
     h_out = (h + 2 * ph - dilation * (kh - 1) - 1) // stride + 1
     w_out = (w_in + 2 * pw - dilation * (kw - 1) - 1) // stride + 1
 
@@ -427,16 +461,7 @@ def conv2d(
         if need_w:
             weight.accumulate_grad(dw)
         if need_x:
-            if pad_mode == "replicate" and (ph > 0 or pw > 0):
-                rows = dxp[:, ph : ph + h, :].copy()
-                rows[:, 0, :] += dxp[:, :ph, :].sum(axis=1)
-                rows[:, -1, :] += dxp[:, ph + h :, :].sum(axis=1)
-                dx = rows[:, :, pw : pw + w_in].copy()
-                dx[:, :, 0] += rows[:, :, :pw].sum(axis=2)
-                dx[:, :, -1] += rows[:, :, pw + w_in :].sum(axis=2)
-            else:
-                dx = dxp[:, ph : ph + h, pw : pw + w_in].copy()
-            x.accumulate_grad(dx)
+            x.accumulate_grad(_unpad(dxp, (ph, pw), pad_mode))
 
     out._backward = backward
     return out
@@ -477,7 +502,7 @@ def pool_width(x: Tensor, mode: str = "avg") -> Tensor:
     w = x.shape[2]
     if mode == "avg":
         anchor = x.data.max(axis=2, keepdims=True)
-        y = anchor + (x.data - anchor).mean(axis=2, keepdims=True)
+        y = anchor + (x.data - anchor).sum(axis=2, keepdims=True) / w
         out = Tensor(y, x.requires_grad, (x,), None, "pool_width_avg")
 
         def backward(g: Array) -> None:
@@ -541,10 +566,10 @@ def _resize(x: Tensor, sizes: dict[int, int], op: str) -> Tensor:
     for axis, (taps, weights, _) in plans:
         shape = [1] * y.ndim
         shape[axis] = -1
-        anchor = np.take(y, taps[:, 0], axis=axis)
+        anchor = y.take(taps[:, 0], axis=axis)
         acc = anchor
         for k in range(1, taps.shape[1]):
-            acc = acc + weights[:, k].reshape(shape) * (np.take(y, taps[:, k], axis=axis) - anchor)
+            acc = acc + weights[:, k].reshape(shape) * (y.take(taps[:, k], axis=axis) - anchor)
         y = acc
     out = Tensor(y, x.requires_grad, (x,), None, op)
 
@@ -625,9 +650,9 @@ def batch_norm1d(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     gamma, beta = state.gamma, state.beta
 
     if training:
-        mu = x.data.mean(axis=1, keepdims=True)
+        mu = x.data.sum(axis=1, keepdims=True) / length
         xc = x.data - mu
-        var = (xc * xc).mean(axis=1, keepdims=True)
+        var = (xc * xc).sum(axis=1, keepdims=True) / length
         inv = 1.0 / np.sqrt(var + state.eps)
         xhat = xc * inv
         m = state.momentum
@@ -651,7 +676,9 @@ def batch_norm1d(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
         if x.requires_grad:
             gx = g * gamma.data[:, None]
             if training:
-                dx = inv * (gx - gx.mean(axis=1, keepdims=True) - xhat * (gx * xhat).mean(axis=1, keepdims=True))
+                mean_gx = gx.sum(axis=1, keepdims=True) / length
+                mean_gx_xhat = (gx * xhat).sum(axis=1, keepdims=True) / length
+                dx = inv * (gx - mean_gx - xhat * mean_gx_xhat)
             else:
                 dx = gx * inv
             x.accumulate_grad(dx)

@@ -20,7 +20,7 @@ from rowgate.checkpoint import load_checkpoint, save_checkpoint
 from rowgate.data import nominal_bands, synth_banded
 from rowgate.gradcheck import gradcheck
 from rowgate.metrics import evaluate
-from rowgate.net import GateSettings, ToySegConfig, ToySegModel
+from rowgate.net import LOGIT_STRIDE, GateSettings, ToySegConfig, ToySegModel
 from rowgate.stats import (
     LabelMap,
     axis_distribution,
@@ -384,9 +384,9 @@ def test_criterion_7_logit_gate_alignment(logit_gate_runs):
             pooled = maps[5] if pooled is None else pooled + maps[5]
         hits = 0
         for k in range(6):
-            row = int(pooled[k].argmax()) * 2  # gate rows live at stride 2
+            row = int(pooled[k].argmax()) * LOGIT_STRIDE
             lo, hi = bands[k]
-            hits += int(lo <= row < hi or lo <= row + 1 < hi)
+            hits += int(any(lo <= r < hi for r in range(row, row + LOGIT_STRIDE)))
         fractions.append(hits / 6)
         details.append(f"seed {entry['seed']}: {hits}/6")
     mean_fraction = float(np.mean(fractions))

@@ -41,6 +41,22 @@ class TestRoundTrip:
         with pytest.raises(DataError):
             load_checkpoint(path, "cfg")
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read checkpoint"):
+            load_checkpoint(tmp_path / "absent.ckpt", "cfg")
+
+    def test_truncation_at_every_byte_rejected(self, tmp_path):
+        arrays = [("w", np.arange(6.0).reshape(2, 3)), ("scalar", np.float64(2.5)), ("b", np.ones(2))]
+        whole = tmp_path / "whole.ckpt"
+        save_checkpoint(whole, arrays, "cfg")
+        data = whole.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(DataError):
+                load_checkpoint(cut, "cfg")
+        assert sorted(load_checkpoint(whole, "cfg")) == ["b", "scalar", "w"]
+
     def test_trained_model_reproduces_miou_bitwise(self, tmp_path):
         model = small_model()
         data = synth_banded(seed=1, n_images=4, height=16, width=16, num_classes=4)

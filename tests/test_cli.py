@@ -149,6 +149,17 @@ class TestTrainEvalAttn:
                      *FAST_MODEL, "--set", "seed=99"])
         assert code == 1
 
+    def test_truncated_checkpoint_fails_cleanly(self, run_dir, tmp_path, capsys):
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes((run_dir / "model.ckpt").read_bytes()[:-5])
+        capsys.readouterr()
+        code = main(["eval", "--out", str(tmp_path / "eval"), "--checkpoint", str(ckpt), *FAST_MODEL])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truncated" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_attention_dump(self, run_dir, tmp_path):
         image_path = tmp_path / "input.ppm"
         sample = synth_banded(seed=9, n_images=1, height=16, width=16, num_classes=4)[0]

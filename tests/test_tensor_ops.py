@@ -4,6 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from itertools import product
+
 from rowgate.errors import ConfigError, ShapeError
 from rowgate.gradcheck import gradcheck
 from rowgate.optim import ParamGroup, SGDMomentum, poly_lr
@@ -29,6 +31,7 @@ from rowgate.tensor import (
     tensor,
     upsample2d,
 )
+from rowgate.tensor import _pad
 
 
 def conv_params(kernel, bias) -> ConvParams1D:
@@ -105,6 +108,114 @@ class TestConv1d:
         params = conv_params(np.full((1, 1, 3), 0.5), [0.1])
         out = conv1d(tensor(np.full((1, 6), 2.0)), params, pad_mode="replicate")
         npt.assert_array_equal(out.data, np.full((1, 6), 3.1))
+
+
+NP_PAD_MODE = {"zero": "constant", "replicate": "edge"}
+
+
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def conv1d_np_pad_reference(x, w, b, g, pad_mode):
+    """``np.pad``-based conv1d forward and (dx, dw, db) for output gradient ``g``."""
+    c_out, _, k = w.shape
+    length = x.shape[1]
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (p, p)), mode=NP_PAD_MODE[pad_mode])
+    y = np.broadcast_to(b[:, None], (c_out, length)).copy()
+    for ki in range(k):
+        y += w[:, :, ki] @ xp[:, ki : ki + length]
+    dw = np.empty_like(w)
+    dxp = np.zeros_like(xp)
+    for ki in range(k):
+        dw[:, :, ki] = g @ xp[:, ki : ki + length].T
+        dxp[:, ki : ki + length] += w[:, :, ki].T @ g
+    dx = dxp[:, p : p + length].copy()
+    if pad_mode == "replicate" and p > 0:
+        dx[:, 0] += dxp[:, :p].sum(axis=1)
+        dx[:, -1] += dxp[:, p + length :].sum(axis=1)
+    return y, dx, dw, g.sum(axis=1)
+
+
+def conv2d_np_pad_reference(x, w, b, g, stride, dilation, pad_mode):
+    """``np.pad``-based conv2d forward and (dx, dw, db) for output gradient ``g``."""
+    c_out, _, kh, kw = w.shape
+    _, h, w_in = x.shape
+    ph, pw = dilation * (kh - 1) // 2, dilation * (kw - 1) // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)), mode=NP_PAD_MODE[pad_mode])
+    h_out, w_out = g.shape[1:]
+    y = np.zeros((c_out, h_out, w_out))
+    dw = np.empty_like(w)
+    dxp = np.zeros_like(xp)
+    for ki in range(kh):
+        for kj in range(kw):
+            sl = (
+                slice(None),
+                slice(ki * dilation, ki * dilation + stride * (h_out - 1) + 1, stride),
+                slice(kj * dilation, kj * dilation + stride * (w_out - 1) + 1, stride),
+            )
+            y += np.tensordot(w[:, :, ki, kj], xp[sl], axes=1)
+            dw[:, :, ki, kj] = np.tensordot(g, xp[sl], axes=([1, 2], [1, 2]))
+            dxp[sl] += np.tensordot(w[:, :, ki, kj], g, axes=([0], [0]))
+    y += b[:, None, None]
+    if pad_mode == "replicate" and (ph > 0 or pw > 0):
+        rows = dxp[:, ph : ph + h, :].copy()
+        rows[:, 0, :] += dxp[:, :ph, :].sum(axis=1)
+        rows[:, -1, :] += dxp[:, ph + h :, :].sum(axis=1)
+        dx = rows[:, :, pw : pw + w_in].copy()
+        dx[:, :, 0] += rows[:, :, :pw].sum(axis=2)
+        dx[:, :, -1] += rows[:, :, pw + w_in :].sum(axis=2)
+    else:
+        dx = dxp[:, ph : ph + h, pw : pw + w_in].copy()
+    return y, dx, dw, g.sum(axis=(1, 2))
+
+
+def output_and_grads(y, inputs, rng):
+    """Backpropagate a random output gradient ``g``; return (y, g, input grads)."""
+    g = rng.normal(size=y.shape)
+    mul(y, tensor(g)).sum().backward()
+    return y.data, g, [t.grad for t in inputs]
+
+
+class TestHandRolledPaddingIsBitwise:
+    """The hand-rolled padding reproduces ``np.pad`` and the convolutions built on it."""
+
+    @pytest.mark.parametrize("pad_mode", ["zero", "replicate"])
+    @pytest.mark.parametrize("shape, n_axes", [((3, 1), 1), ((2, 7), 1), ((1, 1), 2), ((2, 1, 1), 2), ((2, 3, 4), 2)])
+    def test_matches_np_pad(self, pad_mode, shape, n_axes):
+        x = np.random.default_rng(5).normal(size=shape)
+        x.flat[0] = -0.0  # a signed zero must survive the copy
+        lead = x.ndim - n_axes
+        for pads in product(range(6), repeat=n_axes):
+            width = [(0, 0)] * lead + [(p, p) for p in pads]
+            assert_bitwise(_pad(x, pads, pad_mode), np.pad(x, width, mode=NP_PAD_MODE[pad_mode]))
+
+    @pytest.mark.parametrize("pad_mode", ["zero", "replicate"])
+    @pytest.mark.parametrize("k, length", [(1, 4), (3, 1), (3, 6), (5, 2), (7, 5)])
+    def test_conv1d(self, pad_mode, k, length):
+        rng = np.random.default_rng(k * 10 + length)
+        x, p = parameter(rng.normal(size=(3, length))), conv_params(rng.normal(size=(4, 3, k)), rng.normal(size=4))
+        y, g, grads = output_and_grads(conv1d(x, p, pad_mode=pad_mode), [x, p.kernel, p.bias], rng)
+        expected = conv1d_np_pad_reference(x.data, p.kernel.data, p.bias.data, g, pad_mode)
+        for actual, want in zip([y] + grads, expected):
+            assert_bitwise(actual, want)
+
+    @pytest.mark.parametrize("pad_mode", ["zero", "replicate"])
+    @pytest.mark.parametrize(
+        "kh, kw, stride, dilation, h, w",
+        [(3, 3, 1, 1, 5, 6), (3, 3, 2, 1, 6, 5), (3, 3, 1, 4, 3, 3), (3, 3, 2, 4, 3, 3), (1, 1, 1, 1, 4, 4), (5, 3, 2, 2, 7, 4)],
+    )
+    def test_conv2d(self, pad_mode, kh, kw, stride, dilation, h, w):
+        rng = np.random.default_rng(kh * 1000 + stride * 100 + dilation * 10 + h)
+        x = parameter(rng.normal(size=(2, h, w)))
+        weight, bias = parameter(rng.normal(size=(3, 2, kh, kw))), parameter(rng.normal(size=3))
+        y = conv2d(x, weight, bias, stride=stride, dilation=dilation, pad_mode=pad_mode)
+        y, g, grads = output_and_grads(y, [x, weight, bias], rng)
+        expected = conv2d_np_pad_reference(x.data, weight.data, bias.data, g, stride, dilation, pad_mode)
+        for actual, want in zip([y] + grads, expected):
+            assert_bitwise(actual, want)
 
 
 class TestPoolWidth:
