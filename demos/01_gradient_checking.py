@@ -1,16 +1,16 @@
 """Verify reverse-mode gradients against central finite differences.
 
-Builds a row-gate module, wires it into a mean-squared loss, and checks
-every parameter and both feature-map inputs.  Also shows the harness
-catching a deliberately oversized step size.
+Draws a row-gate module and its inputs clear of every relu kink, wires
+it into a mean-squared loss, and checks every parameter and both
+feature-map inputs, as ``rowgate gradcheck`` does.  Also shows the
+harness catching a deliberately oversized step size.
 """
 
 import numpy as np
 
 from rowgate import attention as attn
 from rowgate.errors import NumericalError
-from rowgate.gradcheck import gradcheck
-from rowgate.tensor import mul, parameter, sub, tensor
+from rowgate.gradcheck import draw_clear, gate_case, gradcheck
 
 rng = np.random.default_rng(0)
 
@@ -18,19 +18,10 @@ config = attn.RowGateConfig(
     in_channels=8, out_channels=6, coarse_height=4, reduction=2,
     pe_mode="learnable", jitter_max=0, dropout_p=0.0,
 )
-params = attn.init_params(config, rng)
-x_l = parameter(rng.normal(size=(8, 12, 10)))
-x_h = parameter(rng.normal(size=(6, 12, 10)))
-target = rng.normal(size=(6, 12, 10))
+case, margin = draw_clear(lambda: gate_case(config, rng, 12, 12, 10))
+print(f"smallest |relu input|: {margin:.3e}\n")
 
-
-def loss():
-    gated, _ = attn.forward(x_l, x_h, params, config, training=True)
-    residual = sub(gated, tensor(target))
-    return mul(residual, residual).mean()
-
-
-report = gradcheck(loss, [("x_l", x_l), ("x_h", x_h)] + params.named(), eps=1e-5, tol=1e-4)
+report = gradcheck(case.f, case.params, eps=1e-5, tol=1e-4)
 print(report.format())
 worst = report.worst()
 print(f"\nworst entry: {worst.name}{list(worst.worst_index)} "
@@ -38,6 +29,6 @@ print(f"\nworst entry: {worst.name}{list(worst.worst_index)} "
 
 print("\nStep sizes far above 1e-3 are refused (truncation error grows as eps^2):")
 try:
-    gradcheck(loss, params.named(), eps=1e-1)
+    gradcheck(case.f, case.params, eps=1e-1)
 except NumericalError as exc:
     print(f"  NumericalError: {exc}")

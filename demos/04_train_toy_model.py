@@ -10,9 +10,10 @@ import time
 
 import numpy as np
 
+from rowgate.attention import GateSettings
 from rowgate.data import synth_banded
 from rowgate.metrics import evaluate
-from rowgate.net import GateSettings, ToySegConfig, ToySegModel
+from rowgate.net import ToySegConfig, ToySegModel
 from rowgate.train import TrainConfig, train
 
 HEIGHT, WIDTH = 96, 48

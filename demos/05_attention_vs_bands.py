@@ -8,9 +8,10 @@ class distribution.
 
 import numpy as np
 
+from rowgate.attention import GateSettings
 from rowgate.data import nominal_bands, synth_banded
 from rowgate.metrics import evaluate
-from rowgate.net import GateSettings, ToySegConfig, ToySegModel
+from rowgate.net import ToySegConfig, ToySegModel
 from rowgate.stats import LabelMap, axis_distribution
 from rowgate.train import TrainConfig, train
 

@@ -9,7 +9,7 @@ motivates gating by vertical position.
 """
 
 from . import attention, checkpoint, config, data, metrics, net, posenc, rasters, stats
-from .attention import RowGateConfig, RowGateParams, init_params
+from .attention import GateSettings, RowGateConfig, RowGateParams, init_params
 from .errors import (
     ConfigError,
     DataError,
@@ -19,7 +19,7 @@ from .errors import (
     ShapeError,
 )
 from .gradcheck import GradCheckReport
-from .net import GateSettings, ToySegConfig, ToySegModel
+from .net import ToySegConfig, ToySegModel
 from .optim import ParamGroup, SGDMomentum, poly_lr
 from .tensor import Tensor, parameter
 from .train import TrainConfig, TrainLog
@@ -27,11 +27,11 @@ from .train import TrainConfig, TrainLog
 __all__ = [
     "attention", "checkpoint", "config", "data", "metrics", "net", "posenc",
     "rasters", "stats",
-    "RowGateConfig", "RowGateParams", "init_params",
+    "GateSettings", "RowGateConfig", "RowGateParams", "init_params",
     "ConfigError", "DataError", "DivergenceError", "NumericalError",
     "RowGateError", "ShapeError",
     "GradCheckReport",
-    "GateSettings", "ToySegConfig", "ToySegModel",
+    "ToySegConfig", "ToySegModel",
     "ParamGroup", "SGDMomentum", "poly_lr",
     "Tensor", "parameter",
     "TrainConfig", "TrainLog",

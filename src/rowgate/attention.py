@@ -43,11 +43,15 @@ KERNEL_SIZE = 3
 
 
 @dataclass(frozen=True)
-class RowGateConfig:
-    in_channels: int
-    out_channels: int
-    coarse_height: int = 16
-    reduction: int = 32
+class GateSettings:
+    """Row-gate hyperparameters shared by every attachment site.
+
+    This is the one declaration of their names, types, defaults and
+    checks; ``config.DEFAULTS`` renders its ``gate.*`` entries from it.
+    """
+
+    coarse_height: int = 8
+    reduction: int = 2
     pool_mode: str = "avg"
     pe_mode: str = "sinusoidal"  # none | sinusoidal | learnable
     pe_layer: int = 2
@@ -55,14 +59,10 @@ class RowGateConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ConfigError("channel counts must be positive")
-        if self.in_channels // self.reduction < 1:
-            raise ConfigError(
-                f"reduction {self.reduction} collapses {self.in_channels} channels to zero"
-            )
         if self.coarse_height < 1:
             raise ConfigError(f"coarse_height must be >= 1, got {self.coarse_height}")
+        if self.reduction < 1:
+            raise ConfigError(f"reduction must be >= 1, got {self.reduction}")
         if self.pool_mode not in ("avg", "max"):
             raise ConfigError(f"unknown pool_mode {self.pool_mode!r}")
         if self.pe_mode not in ("none", "sinusoidal", "learnable"):
@@ -73,6 +73,23 @@ class RowGateConfig:
             raise ConfigError(f"jitter_max must be >= 0, got {self.jitter_max}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class RowGateConfig(GateSettings):
+    """The settings of one gate at one site, with its channel counts."""
+
+    in_channels: int
+    out_channels: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.in_channels < 1 or self.out_channels < 1:
+            raise ConfigError("channel counts must be positive")
+        if self.in_channels // self.reduction < 1:
+            raise ConfigError(
+                f"reduction {self.reduction} collapses {self.in_channels} channels to zero"
+            )
 
     @property
     def mid_channels(self) -> int:

@@ -17,13 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attention as attn_mod
 from . import config as cfgmod
+from . import gradcheck
 from . import stats as statsmod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Sample, synth_banded
 from .errors import NumericalError, RowGateError
-from .gradcheck import gradcheck
 from .metrics import evaluate
 from .net import ToySegModel
 from .rasters import (
@@ -38,19 +37,11 @@ from .rasters import (
     write_pgm,
     write_ppm,
 )
-from .tensor import mul, parameter, relu_input_margin, softmax_cross_entropy, sub, tensor
 from .train import train
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
-
-RELU_MARGIN = 1e-3  # smallest |relu input| the toy-model gradcheck case accepts
-MAX_DRAWS = 1000  # input draws before that case gives up
-
-
-def _spawn(seed: int, n: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 def _resolve_and_log(args, out_dir: Path | None) -> dict[str, str]:
@@ -114,85 +105,16 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gradcheck_suite(values: dict[str, str], eps: float) -> tuple[str, bool]:
-    tol = cfgmod.get_float(values, "gradcheck.tolerance")
-    model_tol = cfgmod.get_float(values, "gradcheck.model_tolerance")
-    seed = cfgmod.get_int(values, "seed")
-    rngs = _spawn(seed, 4)
-    lines: list[str] = []
-    ok = True
-
-    def record(name: str, report) -> None:
-        nonlocal ok
-        ok = ok and report.passed
-        lines.append(
-            f"[{'PASS' if report.passed else 'FAIL'}] {name}: max relative error "
-            f"{report.max_rel_error:.3e} (tolerance {report.tolerance:g})"
-        )
-
-    # gate module, one configuration per positional mode
-    for i, pe_mode in enumerate(("none", "sinusoidal", "learnable")):
-        cfg = attn_mod.RowGateConfig(
-            in_channels=8, out_channels=6, coarse_height=4, reduction=2,
-            pe_mode=pe_mode, jitter_max=0, dropout_p=0.0,
-        )
-        rng = np.random.default_rng(seed + i)
-        params = attn_mod.init_params(cfg, rng)
-        x_l = parameter(rng.normal(size=(8, 8, 6)))
-        x_h = parameter(rng.normal(size=(6, 8, 6)))
-        target = rng.normal(size=(6, 8, 6))
-
-        def f():
-            out, _ = attn_mod.forward(x_l, x_h, params, cfg, training=True)
-            d = sub(out, tensor(target))
-            return mul(d, d).mean()
-
-        report = gradcheck(f, [("x_l", x_l), ("x_h", x_h)] + params.named(), eps=eps, tol=tol)
-        record(f"gate-module pe={pe_mode}", report)
-
-    # full toy model with every gate site attached
-    model_cfg = cfgmod.build_model_config(
-        {
-            **values,
-            "model.widths": "4,6,6",
-            "model.num_classes": "3",
-            "model.in_channels": "2",
-            "model.gate_layers": "1,2,3,4,5",
-            "gate.coarse_height": "2",
-            "gate.reduction": "2",
-            "gate.jitter": "0",
-            "gate.dropout": "0.0",
-        }
-    )
-    model = ToySegModel.build(model_cfg)
-    rng = rngs[3]
-
-    def f_model():
-        return softmax_cross_entropy(model.forward(image, training=True), labels)
-
-    # a central difference across a relu kink is meaningless: redraw until clear
-    for _ in range(MAX_DRAWS):
-        image = rng.normal(size=(2, 16, 16))
-        labels = rng.integers(0, 3, size=(16, 16))
-        margin = relu_input_margin(f_model())
-        if margin > RELU_MARGIN:
-            break
-    else:
-        raise NumericalError(
-            f"gradcheck: {MAX_DRAWS} toy-model input draws all put a relu input within "
-            f"{RELU_MARGIN:g} of its kink (last margin {margin:.3e})"
-        )
-
-    report = gradcheck(f_model, model.named_parameters(), eps=eps, tol=model_tol)
-    record("toy-model all-gates", report)
-    lines.append(f"relu margin (toy model): {margin:.3e}")
-    return "\n".join(lines), ok
-
-
 def cmd_gradcheck(args) -> int:
     values = _resolve_and_log(args, Path(args.out) if args.out else None)
     eps = args.epsilon if args.epsilon is not None else cfgmod.get_float(values, "gradcheck.epsilon")
-    text, ok = _gradcheck_suite(values, eps)
+    text, ok = gradcheck.suite(
+        cfgmod.get_int(values, "seed"),
+        cfgmod.build_gate_settings(values),
+        eps=eps,
+        tol=cfgmod.get_float(values, "gradcheck.tolerance"),
+        model_tol=cfgmod.get_float(values, "gradcheck.model_tolerance"),
+    )
     print(text)
     if args.out:
         (Path(args.out) / "gradcheck.txt").write_text(text + "\n")
@@ -278,7 +200,7 @@ def cmd_train(args) -> int:
     model = ToySegModel.build(model_cfg)
     train_set = _dataset_from_config(values, "train")
     val_set = _dataset_from_config(values, "val")
-    (train_rng,) = _spawn(cfgmod.get_int(values, "seed"), 1)
+    train_rng = np.random.default_rng(np.random.SeedSequence(cfgmod.get_int(values, "seed")).spawn(1)[0])
 
     log = train(model, train_set, train_cfg, train_rng)
     log.to_csv(out / "train_log.csv")

@@ -11,9 +11,23 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .attention import GateSettings
 from .errors import ConfigError
-from .net import GateSettings, ToySegConfig
+from .net import ToySegConfig
 from .train import TrainConfig
+
+# Each gate.* key and the GateSettings field it sets.  The defaults are
+# the dataclass's own, and each value parses as its default's type.
+GATE_KEYS: dict[str, str] = {
+    "gate.coarse_height": "coarse_height",
+    "gate.reduction": "reduction",
+    "gate.pool": "pool_mode",
+    "gate.pe": "pe_mode",
+    "gate.pe_layer": "pe_layer",
+    "gate.jitter": "jitter_max",
+    "gate.dropout": "dropout_p",
+}
+_GATE_DEFAULTS = GateSettings()
 
 # Every known key with its default (as text).  A run's resolved config is
 # this table overlaid with file values and flag overrides.
@@ -23,13 +37,7 @@ DEFAULTS: dict[str, str] = {
     "model.widths": "16,32,32",
     "model.num_classes": "6",
     "model.gate_layers": "1,2,3,4",
-    "gate.coarse_height": "8",
-    "gate.reduction": "2",
-    "gate.pool": "avg",
-    "gate.pe": "sinusoidal",
-    "gate.pe_layer": "2",
-    "gate.jitter": "2",
-    "gate.dropout": "0.1",
+    **{key: str(getattr(_GATE_DEFAULTS, name)) for key, name in GATE_KEYS.items()},
     "train.max_iteration": "400",
     "train.lr": "1e-2",
     "train.momentum": "0.9",
@@ -75,7 +83,13 @@ def resolve(path=None, overrides: list[str] | None = None) -> dict[str, str]:
     """Defaults, overlaid by the config file, overlaid by key=value flags."""
     resolved = dict(DEFAULTS)
     if path is not None:
-        file_values = parse_config_text(Path(path).read_text(), source=str(path))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: config is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        file_values = parse_config_text(text, source=str(path))
         _reject_unknown(file_values, str(path))
         resolved.update(file_values)
     for item in overrides or []:
@@ -146,23 +160,22 @@ def build_model_config(values: dict[str, str]) -> ToySegConfig:
     widths = get_int_tuple(values, "model.widths")
     if len(widths) != 3:
         raise ConfigError(f"model.widths: expected three values, got {values['model.widths']!r}")
-    gate = GateSettings(
-        coarse_height=get_int(values, "gate.coarse_height"),
-        reduction=get_int(values, "gate.reduction"),
-        pool_mode=values["gate.pool"],
-        pe_mode=values["gate.pe"],
-        pe_layer=get_int(values, "gate.pe_layer"),
-        jitter_max=get_int(values, "gate.jitter"),
-        dropout_p=get_float(values, "gate.dropout"),
-    )
     return ToySegConfig(
         num_classes=get_int(values, "model.num_classes"),
         in_channels=get_int(values, "model.in_channels"),
         widths=widths,  # type: ignore[arg-type]
         gate_layers=get_int_set(values, "model.gate_layers"),
-        gate=gate,
+        gate=build_gate_settings(values),
         seed=get_int(values, "seed"),
     )
+
+
+def build_gate_settings(values: dict[str, str]) -> GateSettings:
+    getters = {int: get_int, float: get_float, str: lambda v, key: v[key]}
+    return GateSettings(**{
+        name: getters[type(getattr(_GATE_DEFAULTS, name))](values, key)
+        for key, name in GATE_KEYS.items()
+    })
 
 
 def build_train_config(values: dict[str, str]) -> TrainConfig:

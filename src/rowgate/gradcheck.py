@@ -9,22 +9,30 @@ truncation error falls like eps^4 instead of eps^2, so sharp curvature
 of the loss does not fail a correct gradient.  The closure must be
 deterministic; pass eval-mode forward functions or disable dropout/jitter
 before checking.
+
+``suite`` is the suite behind ``rowgate gradcheck``, built from the
+case builders and the kink-clear draw loop below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import attention as attn
 from .errors import NumericalError
-from .tensor import Tensor, zero_grads
+from .net import GATE_SITES, ToySegConfig, ToySegModel
+from .tensor import Tensor, parameter, relu_input_margin, softmax_cross_entropy, tensor, zero_grads
 
 # Entries whose analytic and numeric magnitudes are both below this floor
 # are compared against it instead, so float noise on a genuinely zero
 # gradient does not masquerade as relative error.
 _DENOMINATOR_FLOOR = 1e-4
+
+RELU_MARGIN = 1e-3  # smallest |relu input| a drawn case may have
+MAX_DRAWS = 1000  # draws before a case gives up
 
 
 @dataclass
@@ -131,3 +139,93 @@ def gradcheck(
         )
     zero_grads(tensors)
     return report
+
+
+# ---------------------------------------------------------------------------
+# the suite
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Case:
+    f: Callable[[], Tensor]  # scalar loss
+    params: list[tuple[str, Tensor]]  # the named tensors to check
+
+
+def draw_clear(draw: Callable[[], Case]) -> tuple[Case, float]:
+    """Call ``draw`` until no relu input of its loss is within RELU_MARGIN of its kink.
+
+    A central difference across a kink is meaningless.  Returns the case
+    and its margin; raises ``NumericalError`` after MAX_DRAWS draws.
+    """
+    for _ in range(MAX_DRAWS):
+        case = draw()
+        margin = relu_input_margin(case.f())
+        if margin > RELU_MARGIN:
+            return case, margin
+    raise NumericalError(
+        f"gradcheck: {MAX_DRAWS} draws all put a relu input within "
+        f"{RELU_MARGIN:g} of its kink (last margin {margin:.3e})"
+    )
+
+
+def gate_case(
+    config: attn.RowGateConfig, rng: np.random.Generator, height_l: int, height_h: int, width: int
+) -> Case:
+    """The gate module's squared error to a target; parameters, x_l, x_h, target drawn in that order."""
+    params = attn.init_params(config, rng)
+    x_l = parameter(rng.normal(size=(config.in_channels, height_l, width)))
+    x_h = parameter(rng.normal(size=(config.out_channels, height_h, width)))
+    target = rng.normal(size=x_h.shape)
+
+    def f():
+        out, _ = attn.forward(x_l, x_h, params, config, training=True)
+        d = out - tensor(target)
+        return (d * d).mean()
+
+    return Case(f, [("x_l", x_l), ("x_h", x_h)] + params.named())
+
+
+def toy_model(seed: int = 0, gate: attn.GateSettings = attn.GateSettings()) -> ToySegModel:
+    """The smallest toy model with every gate site; ``gate`` sets pooling and encoding only."""
+    gate = replace(gate, coarse_height=2, reduction=2, jitter_max=0, dropout_p=0.0)
+    return ToySegModel.build(ToySegConfig(num_classes=3, in_channels=2, widths=(4, 6, 6),
+                                          gate_layers=frozenset(GATE_SITES), gate=gate, seed=seed))
+
+
+def toy_model_case(model: ToySegModel, rng: np.random.Generator) -> Case:
+    """The model's cross-entropy on a fresh 16x16 image and labels."""
+    image = rng.normal(size=(model.config.in_channels, 16, 16))
+    labels = rng.integers(0, model.config.num_classes, size=(16, 16))
+    return Case(lambda: softmax_cross_entropy(model.forward(image, training=True), labels),
+                model.named_parameters())
+
+
+def suite(
+    seed: int, gate: attn.GateSettings, eps: float, tol: float, model_tol: float
+) -> tuple[str, bool]:
+    """Gate module per positional mode, then ``toy_model(seed, gate)``: (report text, all passed).
+
+    Gate case i draws from ``default_rng(seed + i)``, the toy model's
+    inputs from the fourth child of ``SeedSequence(seed)``.
+    """
+    cases = []
+    for i, pe_mode in enumerate(("none", "sinusoidal", "learnable")):
+        config = attn.RowGateConfig(in_channels=8, out_channels=6, coarse_height=4, reduction=2,
+                                    pe_mode=pe_mode, jitter_max=0, dropout_p=0.0)
+        rng = np.random.default_rng(seed + i)
+        case, _ = draw_clear(lambda: gate_case(config, rng, 8, 8, 6))
+        cases.append((f"gate-module pe={pe_mode}", case, tol))
+    model = toy_model(seed, gate)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
+    case, margin = draw_clear(lambda: toy_model_case(model, rng))
+    cases.append(("toy-model all-gates", case, model_tol))
+
+    lines, ok = [], True
+    for name, case, case_tol in cases:
+        report = gradcheck(case.f, case.params, eps=eps, tol=case_tol)
+        ok = ok and report.passed
+        lines.append(f"[{'PASS' if report.passed else 'FAIL'}] {name}: max relative error "
+                     f"{report.max_rel_error:.3e} (tolerance {report.tolerance:g})")
+    lines.append(f"relu margin (toy model): {margin:.3e}")
+    return "\n".join(lines), ok

@@ -18,7 +18,7 @@ input resolution, so row boundaries at any pixel row stay learnable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,38 +33,12 @@ LOGIT_STRIDE = 2  # stride of the decoder, the logits and the L5 gate rows
 
 
 @dataclass(frozen=True)
-class GateSettings:
-    """Row-gate hyperparameters shared by every attachment site."""
-
-    coarse_height: int = 16
-    reduction: int = 32
-    pool_mode: str = "avg"
-    pe_mode: str = "sinusoidal"
-    pe_layer: int = 2
-    jitter_max: int = 2
-    dropout_p: float = 0.1
-
-    def materialize(self, in_channels: int, out_channels: int) -> attn.RowGateConfig:
-        return attn.RowGateConfig(
-            in_channels=in_channels,
-            out_channels=out_channels,
-            coarse_height=self.coarse_height,
-            reduction=self.reduction,
-            pool_mode=self.pool_mode,
-            pe_mode=self.pe_mode,
-            pe_layer=self.pe_layer,
-            jitter_max=self.jitter_max,
-            dropout_p=self.dropout_p,
-        )
-
-
-@dataclass(frozen=True)
 class ToySegConfig:
     num_classes: int
     in_channels: int = 3
     widths: tuple[int, int, int] = (16, 32, 32)
     gate_layers: frozenset[int] = frozenset()
-    gate: GateSettings = GateSettings()
+    gate: attn.GateSettings = attn.GateSettings()
     seed: int = 0
 
     def __post_init__(self):
@@ -78,17 +52,18 @@ class ToySegConfig:
         if extra:
             raise ConfigError(f"unknown gate layers {sorted(extra)}; valid sites are 1..5")
 
-    def gate_channels(self, site: int) -> tuple[int, int]:
-        """(context channels, gated channels) at an attachment site."""
+    def gate_config(self, site: int) -> attn.RowGateConfig:
+        """The gate at an attachment site: shared settings, that site's channel counts."""
         w1, w2, w3 = self.widths
         ctx_out = 3 * (w2 // 2)
-        return {
+        in_channels, out_channels = {
             1: (w2, w2),
             2: (w2, ctx_out),
             3: (ctx_out, w3),
             4: (w3, w3),
             5: (w3, self.num_classes),
         }[site]
+        return attn.RowGateConfig(**asdict(self.gate), in_channels=in_channels, out_channels=out_channels)
 
 
 @dataclass
@@ -146,8 +121,7 @@ class ToySegModel:
             "cls": _init_conv(config.num_classes, w3, conv_rng),
         }
         for site in sorted(config.gate_layers):
-            c_in, c_out = config.gate_channels(site)
-            gate_config = config.gate.materialize(c_in, c_out)
+            gate_config = config.gate_config(site)
             model.gates[site] = (gate_config, attn.init_params(gate_config, gate_rng))
         return model
 

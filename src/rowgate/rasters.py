@@ -30,6 +30,13 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(image.tobytes())
 
 
+def _read_bytes(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
 def _read_pnm_header(data: bytes, path) -> tuple[bytes, list[int], int]:
     if len(data) < 2 or data[:1] != b"P":
         raise DataError(f"{path}: not a PNM file")
@@ -50,12 +57,15 @@ def _read_pnm_header(data: bytes, path) -> tuple[bytes, list[int], int]:
         if not token.isdigit():
             raise DataError(f"{path}: malformed PNM header")
         fields.append(int(token))
+    for name, value in zip(("width", "height", "maxval"), fields):
+        if value == 0:
+            raise DataError(f"{path}: PNM {name} is 0")
     return magic, fields, pos + 1  # header ends with one whitespace byte
 
 
 def read_pgm(path) -> np.ndarray:
     """Read P5 (binary) or P2 (ascii) grayscale with maxval <= 255."""
-    data = Path(path).read_bytes()
+    data = _read_bytes(path)
     magic, (width, height, maxval), offset = _read_pnm_header(data, path)
     if magic not in (b"P5", b"P2"):
         raise DataError(f"{path}: expected P5/P2 PGM, got {magic!r}")
@@ -84,7 +94,7 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    data = _read_bytes(path)
     magic, (width, height, maxval), offset = _read_pnm_header(data, path)
     if magic != b"P6" or maxval > 255:
         raise DataError(f"{path}: expected 8-bit P6 PPM")

@@ -84,7 +84,7 @@ def entropy(p: np.ndarray) -> float:
     if abs(p.sum() - 1.0) > 1e-9:
         raise DataError(f"entropy: probabilities sum to {p.sum():.12g}, not 1")
     nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(-(nz * np.log(nz)).sum()) + 0.0  # a certain outcome gives +0.0, not -0.0
 
 
 def equal_bands(n: int) -> list[tuple[float, float]]:

@@ -16,11 +16,12 @@ import numpy.testing as npt
 import pytest
 
 from rowgate import attention as attn
+from rowgate.attention import GateSettings
 from rowgate.checkpoint import load_checkpoint, save_checkpoint
 from rowgate.data import nominal_bands, synth_banded
-from rowgate.gradcheck import gradcheck
+from rowgate.gradcheck import Case, draw_clear, gate_case, gradcheck, toy_model, toy_model_case
 from rowgate.metrics import evaluate
-from rowgate.net import LOGIT_STRIDE, GateSettings, ToySegConfig, ToySegModel
+from rowgate.net import LOGIT_STRIDE, ToySegConfig, ToySegModel
 from rowgate.stats import (
     LabelMap,
     axis_distribution,
@@ -28,7 +29,7 @@ from rowgate.stats import (
     equal_bands,
     region_report,
 )
-from rowgate.tensor import mul, parameter, relu_input_margin, sub, tensor
+from rowgate.tensor import tensor
 from rowgate.train import TrainConfig, train
 
 SEEDS = (0, 1, 2)
@@ -82,8 +83,8 @@ def logit_gate_runs():
 # ---------------------------------------------------------------------------
 
 
-def _draw_gate_case(rng: np.random.Generator):
-    """One random configuration with inputs kept clear of the relu kink."""
+def _draw_gate_case(rng: np.random.Generator) -> Case:
+    """One random configuration, with its parameters and inputs clear of the relu kink."""
     c_l = int(rng.choice([4, 8, 16]))
     r = int(rng.choice([2, 4]))
     if c_l // r < 1:
@@ -97,20 +98,8 @@ def _draw_gate_case(rng: np.random.Generator):
         in_channels=c_l, out_channels=c_h, coarse_height=coarse, reduction=r,
         pe_mode=pe_mode, pe_layer=int(rng.integers(1, 4)), jitter_max=0, dropout_p=0.0,
     )
-    for _ in range(20):
-        params = attn.init_params(config, rng)
-        x_l = parameter(rng.normal(size=(c_l, h_l, 3)))
-        x_h = parameter(rng.normal(size=(c_h, h_h, 3)))
-        target = rng.normal(size=(c_h, h_h, 3))
-
-        def f():
-            out, _ = attn.forward(x_l, x_h, params, config, training=True)
-            d = sub(out, tensor(target))
-            return mul(d, d).mean()
-
-        if relu_input_margin(f()) > 1e-3:
-            return f, [("x_l", x_l), ("x_h", x_h)] + params.named()
-    raise AssertionError("could not draw a kink-safe configuration")
+    case, _ = draw_clear(lambda: gate_case(config, rng, h_l, h_h, 3))
+    return case
 
 
 def test_criterion_1_gradient_correctness():
@@ -118,34 +107,21 @@ def test_criterion_1_gradient_correctness():
     start = time.monotonic()
     worst_gate = 0.0
     for _ in range(50):
-        f, params = _draw_gate_case(rng)
-        report = gradcheck(f, params, eps=1e-5, tol=1e-4)
+        case = _draw_gate_case(rng)
+        report = gradcheck(case.f, case.params, eps=1e-5, tol=1e-4)
         worst_gate = max(worst_gate, report.max_rel_error)
         assert report.passed, report.format()
 
-    model = ToySegModel.build(
-        ToySegConfig(
-            num_classes=3, in_channels=2, widths=(4, 6, 6),
-            gate_layers=frozenset({1, 2, 3, 4, 5}),
-            gate=GateSettings(coarse_height=2, reduction=2, jitter_max=0, dropout_p=0.0),
-            seed=0,
-        )
-    )
-    image = rng.normal(size=(2, 16, 16))
-    labels = rng.integers(0, 3, size=(16, 16))
-
-    def f_model():
-        from rowgate.tensor import softmax_cross_entropy
-
-        return softmax_cross_entropy(model.forward(image, training=True), labels)
-
-    model_report = gradcheck(f_model, model.named_parameters(), eps=1e-5, tol=1e-3)
+    model = toy_model()
+    case, margin = draw_clear(lambda: toy_model_case(model, rng))
+    model_report = gradcheck(case.f, case.params, eps=1e-5, tol=1e-3)
     elapsed = time.monotonic() - start
     ok = model_report.passed and elapsed < 120.0
     verdict(
         1, "gradient correctness", ok,
         f"50 gate configs max rel err {worst_gate:.2e} (<1e-4), full model "
-        f"{model_report.max_rel_error:.2e} (<1e-3), runtime {elapsed:.0f}s (<120s)",
+        f"{model_report.max_rel_error:.2e} (<1e-3, relu margin {margin:.1e}), "
+        f"runtime {elapsed:.0f}s (<120s)",
     )
 
 

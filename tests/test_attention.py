@@ -7,19 +7,15 @@ import pytest
 from rowgate import attention as attn
 from rowgate import posenc
 from rowgate.errors import ConfigError, ShapeError
-from rowgate.gradcheck import gradcheck
+from rowgate.gradcheck import gate_case, gradcheck
 from rowgate.tensor import (
-    Tensor,
     batch_norm1d,
     clip_open_unit,
     conv1d,
-    mul,
-    parameter,
     pool_width,
     relu,
     relu_input_margin,
     sigmoid,
-    sub,
     tensor,
 )
 
@@ -339,33 +335,10 @@ class TestForward:
 
 
 class TestFullPipelineGradients:
-    def cfg_and_inputs(self, pe_mode: str):
-        cfg = attn.RowGateConfig(
-            in_channels=8,
-            out_channels=16,
-            coarse_height=4,
-            reduction=2,
-            pe_mode=pe_mode,
-            jitter_max=0,
-            dropout_p=0.0,
-        )
-        rng = np.random.default_rng(30)
-        params = attn.init_params(cfg, rng)
-        x_l = parameter(rng.normal(size=(8, 12, 10)))
-        x_h = parameter(rng.normal(size=(16, 12, 10)))
-        target = rng.normal(size=(16, 12, 10))
-        return cfg, params, x_l, x_h, target
-
     @pytest.mark.parametrize("pe_mode", ["none", "sinusoidal", "learnable"])
     def test_gradients_match_finite_differences(self, pe_mode):
-        cfg, params, x_l, x_h, target = self.cfg_and_inputs(pe_mode)
-
-        def f():
-            out, _ = attn.forward(x_l, x_h, params, cfg, training=True)
-            d = sub(out, tensor(target))
-            return mul(d, d).mean()
-
-        assert relu_input_margin(f()) > 1e-3  # stay clear of the relu kink
-        checked = [("x_l", x_l), ("x_h", x_h)] + params.named()
-        report = gradcheck(f, checked, eps=1e-5, tol=1e-4)
+        cfg = small_config(pe_mode=pe_mode)
+        case = gate_case(cfg, np.random.default_rng(30), 12, 12, 10)
+        assert relu_input_margin(case.f()) > 1e-3  # stay clear of the relu kink
+        report = gradcheck(case.f, case.params, eps=1e-5, tol=1e-4)
         assert report.passed, report.format()

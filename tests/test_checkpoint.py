@@ -4,11 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rowgate.attention import GateSettings
 from rowgate.checkpoint import load_checkpoint, save_checkpoint
 from rowgate.data import synth_banded
 from rowgate.errors import DataError
 from rowgate.metrics import evaluate
-from rowgate.net import GateSettings, ToySegConfig, ToySegModel
+from rowgate.net import ToySegConfig, ToySegModel
 from rowgate.train import TrainConfig, train
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rowgate.attention import GateSettings
 from rowgate.cli import main
-from rowgate.config import DEFAULTS, parse_config_text, render, resolve
+from rowgate.config import DEFAULTS, build_model_config, parse_config_text, render, resolve
 from rowgate.data import synth_banded
 from rowgate.errors import ConfigError
 from rowgate.rasters import read_pgm, write_pgm, write_ppm
@@ -47,6 +48,19 @@ class TestConfigResolution:
     def test_defaults_cover_every_key(self):
         text = render(dict(DEFAULTS))
         assert parse_config_text(text) == DEFAULTS
+
+    def test_gate_defaults_are_the_dataclass_defaults(self):
+        assert build_model_config(resolve(None)).gate == GateSettings()
+        # checkpoint digests cover this text, so it must not drift
+        assert {k: v for k, v in DEFAULTS.items() if k.startswith("gate.")} == {
+            "gate.coarse_height": "8", "gate.reduction": "2", "gate.pool": "avg",
+            "gate.pe": "sinusoidal", "gate.pe_layer": "2", "gate.jitter": "2",
+            "gate.dropout": "0.1",
+        }
+
+    def test_gate_settings_checked_without_gate_layers(self):
+        with pytest.raises(ConfigError):
+            build_model_config(resolve(None, ["model.gate_layers=", "gate.pool=bogus"]))
 
 
 class TestStatsCommand:
@@ -108,6 +122,48 @@ class TestGradcheckCommand:
     def test_oversized_epsilon_is_a_numerical_failure(self, capsys):
         assert main(["gradcheck", "--epsilon", "1e-1"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+# Each breaks one input of `rowgate train` at the IO boundary and returns
+# the flags that point train at it, and what the error line must name.
+def config_missing(tmp):
+    return ["--config", str(tmp / "missing.cfg")], "missing.cfg"
+
+
+def config_unreadable(tmp):
+    return ["--config", str(tmp)], "cannot read config"
+
+
+def config_not_utf8(tmp):
+    (tmp / "latin1.cfg").write_bytes(b"seed=\xe9\n")
+    return ["--config", str(tmp / "latin1.cfg")], "latin1.cfg"
+
+
+def label_missing(tmp):
+    (tmp / "data" / "val" / "labels" / "00000.pgm").unlink()
+    return ["--data", str(tmp / "data")], "00000.pgm"
+
+
+def image_unreadable(tmp):
+    image = tmp / "data" / "train" / "images" / "00001.ppm"
+    image.unlink()
+    image.mkdir()
+    return ["--data", str(tmp / "data")], "00001.ppm"
+
+
+@pytest.mark.parametrize(
+    "break_input", [config_missing, config_unreadable, config_not_utf8, label_missing, image_unreadable],
+    ids=lambda f: f.__name__,
+)
+def test_io_failure_exits_1_with_one_line(break_input, tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "data"), *FAST_MODEL]) == 0
+    flags, named = break_input(tmp_path)
+    capsys.readouterr()
+    code = main(["train", "--out", str(tmp_path / "run"), *FAST_MODEL, *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert named in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rowgate.errors import NumericalError
-from rowgate.gradcheck import gradcheck
-from rowgate.tensor import Tensor, mul, parameter, tensor
+from rowgate.gradcheck import MAX_DRAWS, Case, draw_clear, gradcheck
+from rowgate.tensor import Tensor, mul, parameter, relu, tensor
 
 
 class TestGradcheckHarness:
@@ -96,3 +96,30 @@ class TestGradcheckHarness:
         gradcheck(f, [("theta", theta)])
         np.testing.assert_array_equal(theta.data, values)
         assert theta.grad is None
+
+
+def stub_draw(margins, drawn):
+    """A draw whose n-th case feeds a relu an input margins[n] from its kink."""
+    queue = iter(margins)
+
+    def draw():
+        x = parameter(np.array([next(queue), 1.0]))
+        drawn.append(x)
+        return Case(lambda: relu(x).sum(), [("x", x)])
+
+    return draw
+
+
+class TestDrawClear:
+    def test_kink_adjacent_draws_are_redrawn(self):
+        drawn = []
+        case, margin = draw_clear(stub_draw([1e-5, 6.4e-4, 0.5, 0.25], drawn))
+        assert margin == 0.5
+        assert len(drawn) == 3
+        assert case.params[0][1] is drawn[-1]
+
+    def test_gives_up_after_max_draws(self):
+        drawn = []
+        with pytest.raises(NumericalError, match="last margin 3.000e-04"):
+            draw_clear(stub_draw([3e-4] * MAX_DRAWS, drawn))
+        assert len(drawn) == MAX_DRAWS

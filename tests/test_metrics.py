@@ -4,10 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rowgate.attention import GateSettings
 from rowgate.data import Sample, synth_banded
 from rowgate.errors import ShapeError
 from rowgate.metrics import confusion_matrix, evaluate, iou_from_confusion, region_slices
-from rowgate.net import GateSettings, ToySegConfig, ToySegModel
+from rowgate.net import ToySegConfig, ToySegModel
 
 
 class TestConfusion:

@@ -6,9 +6,10 @@ import pytest
 
 from rowgate import attention as attn
 from rowgate.errors import ConfigError, ShapeError
-from rowgate.gradcheck import gradcheck
-from rowgate.net import GateSettings, ToySegConfig, ToySegModel
-from rowgate.tensor import relu_input_margin, softmax_cross_entropy
+from rowgate.attention import GateSettings
+from rowgate.gradcheck import gradcheck, toy_model, toy_model_case
+from rowgate.net import ToySegConfig, ToySegModel
+from rowgate.tensor import relu_input_margin
 
 TINY_GATE = GateSettings(coarse_height=2, reduction=2, jitter_max=0, dropout_p=0.0)
 
@@ -52,8 +53,7 @@ class TestBuild:
                 cfg = tiny_config(layers=(site,), gate=GateSettings(
                     coarse_height=2, reduction=2, pe_mode=pe_mode, jitter_max=0, dropout_p=0.0))
                 model = ToySegModel.build(cfg)
-                gate_cfg = cfg.gate.materialize(*cfg.gate_channels(site))
-                assert model.param_count() - baseline == attn.param_count(gate_cfg)
+                assert model.param_count() - baseline == attn.param_count(cfg.gate_config(site))
 
     def test_last_site_gates_class_logits(self):
         cfg = tiny_config(layers=(5,))
@@ -91,14 +91,7 @@ class TestBuild:
 
 class TestFullModelGradients:
     def test_all_gates_attached(self):
-        model = ToySegModel.build(tiny_config(layers=(1, 2, 3, 4, 5)))
-        rng = np.random.default_rng(2)
-        image = rng.normal(size=(2, 16, 16))
-        labels = rng.integers(0, 3, size=(16, 16))
-
-        def f():
-            return softmax_cross_entropy(model.forward(image, training=True), labels)
-
-        assert relu_input_margin(f()) > 1e-4
-        report = gradcheck(f, model.named_parameters(), eps=1e-5, tol=1e-3)
+        case = toy_model_case(toy_model(), np.random.default_rng(2))
+        assert relu_input_margin(case.f()) > 1e-4
+        report = gradcheck(case.f, case.params, eps=1e-5, tol=1e-3)
         assert report.passed, report.format()

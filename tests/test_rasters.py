@@ -42,6 +42,46 @@ class TestPGM:
             write_pgm(tmp_path / "b.pgm", np.zeros((2, 2), dtype=np.float64))
 
 
+def pnm_bytes(fmt, magic=None, width=2, height=2, maxval=255, short=False) -> bytes:
+    """A 2x2 ``fmt`` file (P5, P2 or P6) whose header may lie about a field."""
+    count = 12 if fmt == "P6" else 4
+    values = list(range(count - 1 if short else count))
+    payload = " ".join(map(str, values)).encode() + b"\n" if fmt == "P2" else bytes(values)
+    return f"{magic or fmt}\n{width} {height}\n{maxval}\n".encode() + payload
+
+
+# each header field corrupted in turn, and the error text that names it
+HEADER_CORRUPTIONS = {
+    "magic": (dict(magic="P9"), "expected"),
+    "width": (dict(width=0), "width is 0"),
+    "height": (dict(height=0), "height is 0"),
+    "maxval": (dict(maxval=0), "maxval is 0"),
+    "payload": (dict(short=True), "truncated"),
+}
+
+
+class TestCorruptHeaders:
+    @pytest.mark.parametrize("fmt", ["P5", "P2", "P6"])
+    def test_intact_file_reads(self, tmp_path, fmt):
+        path = tmp_path / "ok.pnm"
+        path.write_bytes(pnm_bytes(fmt))
+        image = read_ppm(path) if fmt == "P6" else read_pgm(path)
+        assert image.size == (12 if fmt == "P6" else 4)
+
+    @pytest.mark.parametrize("field", list(HEADER_CORRUPTIONS))
+    @pytest.mark.parametrize("fmt", ["P5", "P2", "P6"])
+    def test_each_field_rejected(self, tmp_path, fmt, field):
+        corruption, message = HEADER_CORRUPTIONS[field]
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(pnm_bytes(fmt, **corruption))
+        with pytest.raises(DataError, match=message):
+            read_ppm(path) if fmt == "P6" else read_pgm(path)
+
+    def test_missing_file_named(self, tmp_path):
+        with pytest.raises(DataError, match="gone.pgm"):
+            read_pgm(tmp_path / "gone.pgm")
+
+
 class TestPPM:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -1,5 +1,7 @@
 """Label statistics: histograms, entropies, band reports, axis distributions."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -66,6 +68,8 @@ class TestEntropy:
 
     def test_one_hot_is_zero(self):
         assert entropy(np.array([0.0, 1.0, 0.0])) == 0.0
+        # +0.0, so reports print 0 and 0.000, never -0 and -0.000
+        assert math.copysign(1.0, entropy(np.array([1.0, 0.0, 0.0]))) == 1.0
 
     def test_urban_lower_region_magnitude(self):
         # a dominant-class distribution (87.9 / 7.9 / 2.2 / 0.3 / 0.1 with the

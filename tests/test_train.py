@@ -4,10 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rowgate.attention import GateSettings
 from rowgate.data import synth_banded
 from rowgate.errors import ConfigError, DivergenceError
 from rowgate.metrics import evaluate
-from rowgate.net import GateSettings, ToySegConfig, ToySegModel
+from rowgate.net import ToySegConfig, ToySegModel
 from rowgate.optim import poly_lr
 from rowgate.train import TrainConfig, TrainLog, make_optimizer, train
 
