@@ -22,7 +22,7 @@ from . import gradcheck
 from . import stats as statsmod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Sample, synth_banded
-from .errors import NumericalError, RowGateError
+from .errors import ConfigError, NumericalError, RowGateError
 from .metrics import evaluate
 from .net import ToySegModel
 from .rasters import (
@@ -265,8 +265,15 @@ def cmd_attn(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation errors: exit 1 with one ``error:`` line, not argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rowgate", description=__doc__)
+    parser = _Parser(prog="rowgate", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config_flags(p, with_out=True):
@@ -319,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -10,12 +10,28 @@ of the loss does not fail a correct gradient.  The closure must be
 deterministic; pass eval-mode forward functions or disable dropout/jitter
 before checking.
 
+The two-point probes of every entry of every parameter form one list,
+cut into contiguous chunks, one per CPU this process may run on.  This
+process probes the first chunk; one forked worker per other chunk
+probes its own and sends the losses back through a pipe.  Each probe is
+the same computation on the same bytes wherever it runs, so the report
+does not depend on the worker count.  A chunk whose worker fails is
+probed again here, in order, so errors are the ones a sequential run
+raises.  ``f`` must therefore also be fork-safe, and side effects of
+its evaluations stay in the process that made them: batch-norm running
+statistics, for example, see only this process's share of the probes.
+Small checks, processes with more than one thread and platforms
+without ``fork`` stay in-process.
+
 ``suite`` is the suite behind ``rowgate gradcheck``, built from the
 case builders and the kink-clear draw loop below.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -30,6 +46,10 @@ from .tensor import Tensor, parameter, relu_input_margin, softmax_cross_entropy,
 # are compared against it instead, so float noise on a genuinely zero
 # gradient does not masquerade as relative error.
 _DENOMINATOR_FLOOR = 1e-4
+
+# Gradchecks over fewer entries stay in-process: forking a worker costs
+# more than sharing their probes saves.
+_MIN_FORK_ENTRIES = 256
 
 RELU_MARGIN = 1e-3  # smallest |relu input| a drawn case may have
 MAX_DRAWS = 1000  # draws before a case gives up
@@ -78,6 +98,112 @@ def _rel_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return np.abs(analytic - numeric) / denom
 
 
+def _probe(f: Callable[[], Tensor], flat: np.ndarray, i: int, step: float) -> tuple[float, float]:
+    """Loss with flat[i] moved by +step and by -step; flat[i] is restored even if ``f`` raises."""
+    keep = flat[i]
+    try:
+        flat[i] = keep + step
+        up = float(f().data)
+        flat[i] = keep - step
+        down = float(f().data)
+    finally:
+        flat[i] = keep
+    return up, down
+
+
+def _finite(pair, name: str, i: int) -> tuple[float, float]:
+    up, down = pair
+    if not (np.isfinite(up) and np.isfinite(down)):
+        raise NumericalError(f"gradcheck: non-finite loss while perturbing {name}[{i}]")
+    return up, down
+
+
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """Contiguous [lo, hi) bounds over n entries, one per usable CPU, at most n.
+
+    One chunk when forking is unavailable, or unsafe because another
+    thread may hold a lock the worker would need.
+    """
+    if (n < _MIN_FORK_ENTRIES or threading.active_count() > 1
+            or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))):
+        return [(0, n)]
+    k = min(len(os.sched_getaffinity(0)), n)
+    edges = [n * c // k for c in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _spawn(f: Callable[[], Tensor], entries: list, eps: float) -> tuple[int, int]:
+    """Fork a worker that writes the (up, down) pairs of ``entries`` to a pipe: (pid, read end)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            view = memoryview(np.array([_probe(f, flat, i, eps) for flat, i in entries]).tobytes())
+            while view:
+                view = view[os.write(w, view):]
+            code = 0
+        finally:
+            os._exit(code)  # never return into the caller, whatever was raised
+    os.close(w)
+    return pid, r
+
+
+def _fan_out(f: Callable[[], Tensor], entries: list, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two-point (up, down) pairs of ``entries`` from forked workers, and which were delivered.
+
+    Chunk 0 runs in this process.  A chunk whose worker raised, died or
+    wrote a short result is left undelivered, as is everything when one
+    chunk covers all entries: the caller computes those in order.
+    """
+    pairs = np.empty((len(entries), 2))
+    delivered = np.zeros(len(entries), dtype=bool)
+    chunks = _chunks(len(entries))
+    if len(chunks) == 1:
+        return pairs, delivered
+    workers = []  # (pid, read end, lo, hi) of each worker not yet reaped, in chunk order
+    try:
+        for lo, hi in chunks[1:]:
+            try:
+                workers.append((*_spawn(f, entries[lo:hi], eps), lo, hi))
+            except OSError:
+                break
+        lo, hi = chunks[0]
+        try:
+            for j in range(lo, hi):
+                flat, i = entries[j]
+                pairs[j] = _probe(f, flat, i, eps)
+                delivered[j] = True
+        except Exception:
+            pass  # the caller re-runs this entry in order and raises there
+        while workers:
+            pid, r, lo, hi = workers[0]
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop(0)
+            os.close(r)
+            if status == 0 and len(data) == pairs[lo:hi].nbytes:
+                pairs[lo:hi] = np.frombuffer(data).reshape(-1, 2)
+                delivered[lo:hi] = True
+    finally:
+        if workers:  # left only when this process was interrupted
+            import signal  # here, so importing rowgate imports nothing new
+        for pid, r, _, _ in workers:
+            os.close(r)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    return pairs, delivered
+
+
 def gradcheck(
     f: Callable[[], Tensor],
     params: Sequence[tuple[str, Tensor]],
@@ -87,57 +213,52 @@ def gradcheck(
     """Compare reverse-mode gradients of ``f`` against central differences.
 
     ``params`` is a sequence of (name, tensor) pairs; each tensor's data is
-    perturbed in place and restored.  Raises ``NumericalError`` when the
-    loss is non-finite or non-scalar.
+    perturbed in place and restored, and its grad is None afterwards.
+    Raises ``NumericalError`` when the loss is non-finite or non-scalar.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise NumericalError(f"gradcheck epsilon {eps:g} outside [1e-7, 1e-3]")
     tensors = [t for _, t in params]
     zero_grads(tensors)
-    loss = f()
-    if loss.data.size != 1:
-        raise NumericalError(f"gradcheck needs a scalar loss, got shape {loss.shape}")
-    if not np.isfinite(loss.data):
-        raise NumericalError("gradcheck: loss is non-finite")
-    loss.backward()
+    try:
+        loss = f()
+        if loss.data.size != 1:
+            raise NumericalError(f"gradcheck needs a scalar loss, got shape {loss.shape}")
+        if not np.isfinite(loss.data):
+            raise NumericalError("gradcheck: loss is non-finite")
+        loss.backward()
 
-    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+        analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+        flats = [t.data.reshape(-1) for t in tensors]
+        pairs, delivered = _fan_out(f, [(flat, i) for flat in flats for i in range(flat.size)], eps)
 
-    report = GradCheckReport(epsilon=eps, tolerance=tol)
-    for (name, t), ana in zip(params, analytic):
-        flat = t.data.reshape(-1)
-
-        def probe(i: int, step: float) -> tuple[float, float]:
-            """Loss with entry i moved by +step and by -step."""
-            keep = flat[i]
-            flat[i] = keep + step
-            up = float(f().data)
-            flat[i] = keep - step
-            down = float(f().data)
-            flat[i] = keep
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NumericalError(f"gradcheck: non-finite loss while perturbing {name}[{i}]")
-            return up, down
-
-        ups, downs = np.array([probe(i, eps) for i in range(flat.size)]).reshape(-1, 2).T
-        num = (ups - downs) / (2.0 * eps)
-        for i in np.flatnonzero(_rel_errors(ana.reshape(-1), num) >= tol):
-            up2, down2 = probe(i, 2.0 * eps)
-            num[i] = (down2 - 8.0 * downs[i] + 8.0 * ups[i] - up2) / (12.0 * eps)
-        num = num.reshape(t.data.shape)
-        rel = _rel_errors(ana, num)
-        idx = np.unravel_index(int(np.argmax(rel)), rel.shape)
-        report.params.append(
-            ParamCheck(
-                name=name,
-                max_rel_error=float(rel[idx]),
-                max_abs_error=float(np.max(np.abs(ana - num))),
-                worst_index=tuple(int(i) for i in idx),
-                analytic=float(ana[idx]),
-                numeric=float(num[idx]),
+        report = GradCheckReport(epsilon=eps, tolerance=tol)
+        start = 0
+        for (name, t), ana, flat in zip(params, analytic, flats):
+            block, have = pairs[start : start + flat.size], delivered[start : start + flat.size]
+            start += flat.size
+            for i in range(flat.size):
+                block[i] = _finite(block[i] if have[i] else _probe(f, flat, i, eps), name, i)
+            ups, downs = block.T
+            num = (ups - downs) / (2.0 * eps)
+            for i in np.flatnonzero(_rel_errors(ana.reshape(-1), num) >= tol):
+                up2, down2 = _finite(_probe(f, flat, i, 2.0 * eps), name, i)
+                num[i] = (down2 - 8.0 * downs[i] + 8.0 * ups[i] - up2) / (12.0 * eps)
+            num = num.reshape(t.data.shape)
+            rel = _rel_errors(ana, num)
+            idx = np.unravel_index(int(np.argmax(rel)), rel.shape)
+            report.params.append(
+                ParamCheck(
+                    name=name,
+                    max_rel_error=float(rel[idx]),
+                    max_abs_error=float(np.max(np.abs(ana - num))),
+                    worst_index=tuple(int(i) for i in idx),
+                    analytic=float(ana[idx]),
+                    numeric=float(num[idx]),
+                )
             )
-        )
-    zero_grads(tensors)
+    finally:
+        zero_grads(tensors)
     return report
 
 

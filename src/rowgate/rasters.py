@@ -141,9 +141,10 @@ def load_label_dir(directory) -> list[LabelMap]:
         try:
             maps.append(read_label_map(p))
         except DataError as exc:
-            failures.append(f"{p}: {exc}")
+            failures.append(exc)
     if failures:
-        raise DataError("unreadable label rasters:\n" + "\n".join(failures))
+        more = f" (and {len(failures) - 1} more unreadable)" if len(failures) > 1 else ""
+        raise DataError(f"{failures[0]}{more}")
     return maps
 
 

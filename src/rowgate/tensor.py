@@ -201,7 +201,18 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
+    ad, bd, ea, eb = _broadcast_pair(a, b, "sub")
+    out = Tensor(ad - bd, _needs(a, b), (a, b), None, "sub")
+
+    def backward(g: Array) -> None:
+        if a.requires_grad:
+            a.accumulate_grad(g.sum(axis=2) if ea else g)
+        if b.requires_grad:
+            # times -1 rather than negation, which would also flip the sign of a NaN
+            b.accumulate_grad((g.sum(axis=2) if eb else g) * -1.0)
+
+    out._backward = backward
+    return out
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:

@@ -102,6 +102,7 @@ def _draw_gate_case(rng: np.random.Generator) -> Case:
     return case
 
 
+@pytest.mark.slow
 def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(20240)
     start = time.monotonic()
@@ -279,6 +280,7 @@ def test_criterion_4_entropy_reduction():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_5_mechanism_efficacy(efficacy_runs):
     gaps = []
     details = []
@@ -346,6 +348,7 @@ def test_criterion_6_urban_label_statistics():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_logit_gate_alignment(logit_gate_runs):
     height, _ = DATA_SHAPE
     bands = nominal_bands(height, 6)
@@ -378,6 +381,7 @@ def test_criterion_7_logit_gate_alignment(logit_gate_runs):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_checkpoint_round_trip(efficacy_runs, tmp_path):
     run = efficacy_runs[0]["gated"]
     model = run["model"]

@@ -102,9 +102,21 @@ class TestStatsCommand:
         assert main(["stats", str(labels), "--classes", "4", "--out", str(tmp_path / "o")]) == 1
         assert "broken.pgm" in capsys.readouterr().err
 
+    def test_unreadable_files_fail_on_one_line(self, tmp_path, capsys):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        (labels / "a_zero.pgm").write_bytes(b"P5 2 2 0\n\0\0\0\0")
+        (labels / "b_short.pgm").write_bytes(b"P5\n8 8\n255\nxx")
+        assert main(["stats", str(labels), "--classes", "4", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err.count("a_zero.pgm") == 1 and "b_short.pgm" not in err
+        assert "1 more" in err and "Traceback" not in err
+
 
 class TestGradcheckCommand:
     # seed 8's first toy-model draw puts a relu input 3.2e-5 from its kink
+    @pytest.mark.slow
     @pytest.mark.parametrize("overrides", [[], ["--set", "seed=8"]], ids=["default", "seed8"])
     def test_default_config_passes(self, overrides, capsys):
         assert main(["gradcheck", *overrides]) == 0
@@ -112,6 +124,7 @@ class TestGradcheckCommand:
         assert out.count("[PASS]") == 4
         assert "[FAIL]" not in out
 
+    @pytest.mark.slow
     def test_report_is_reproducible(self, capsys):
         main(["gradcheck"])
         first = capsys.readouterr().out
@@ -122,6 +135,29 @@ class TestGradcheckCommand:
     def test_oversized_epsilon_is_a_numerical_failure(self, capsys):
         assert main(["gradcheck", "--epsilon", "1e-1"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 1),
+    (["bogus"], 1),
+    (["stats"], 1),
+    (["gradcheck", "--epsilon", "abc"], 1),
+    (["train", "--set"], 1),
+    (["--help"], 0),
+    (["gradcheck", "--help"], 0),
+], ids=["no_command", "unknown_command", "stats_no_args", "epsilon_not_a_float", "set_no_value",
+        "help", "gradcheck_help"])
+def test_usage_errors_exit_1_with_one_line(argv, code, capsys):
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # --help prints the usage and exits
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    if code:
+        assert err.count("\n") == 1 and err.startswith("error: rowgate") and out == ""
+    else:
+        assert out.startswith("usage: rowgate") and err == ""
 
 
 # Each breaks one input of `rowgate train` at the IO boundary and returns

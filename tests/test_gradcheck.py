@@ -1,10 +1,15 @@
 """Behaviour of the finite-difference verification harness itself."""
 
+import os
+import threading
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from rowgate import attention as attn
 from rowgate.errors import NumericalError
-from rowgate.gradcheck import MAX_DRAWS, Case, draw_clear, gradcheck
+from rowgate.gradcheck import MAX_DRAWS, Case, draw_clear, gate_case, gradcheck
 from rowgate.tensor import Tensor, mul, parameter, relu, tensor
 
 
@@ -123,3 +128,115 @@ class TestDrawClear:
         with pytest.raises(NumericalError, match="last margin 3.000e-04"):
             draw_clear(stub_draw([3e-4] * MAX_DRAWS, drawn))
         assert len(drawn) == MAX_DRAWS
+
+
+def force_workers(monkeypatch, n):
+    """Make gradcheck see n usable CPUs, and count the workers it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def bits(report):
+    """Every field of every ParamCheck, floats as their exact bit patterns."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(p)) for p in report.params]
+
+
+def assert_clean(params, values):
+    """Parameters restored, gradients dropped, and no worker left to reap."""
+    for (_, t), v in zip(params, values):
+        assert t.data.tobytes() == v.tobytes()
+        assert t.grad is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def two_squares(n=300):
+    """f = |a|^2 + |b|^2 over two n-entry parameters: 2n entries, above the fork floor."""
+    rng = np.random.default_rng(5)
+    a, b = parameter(rng.normal(size=n)), parameter(rng.normal(size=n))
+    params = [("a", a), ("b", b)]
+    return params, [t.data.copy() for _, t in params], lambda: mul(a, a).sum() + mul(b, b).sum()
+
+
+class TestParallelProbes:
+    def test_suite_gate_case_report_is_bitwise_the_same_for_any_worker_count(self, monkeypatch):
+        config = attn.RowGateConfig(in_channels=8, out_channels=6, coarse_height=4, reduction=2,
+                                    pe_mode="learnable", jitter_max=0, dropout_p=0.0)
+        reports = []
+        for n in (1, 2, 3):
+            forks = force_workers(monkeypatch, n)
+            rng = np.random.default_rng(2)
+            case, _ = draw_clear(lambda: gate_case(config, rng, 8, 8, 6))
+            values = [t.data.copy() for _, t in case.params]
+            reports.append(bits(gradcheck(case.f, case.params)))
+            assert len(forks) == n - 1  # one fork per worker per call, not per tensor
+            assert_clean(case.params, values)
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_non_finite_probe_in_the_last_chunk_raises_the_sequential_message(self, monkeypatch):
+        messages = []
+        for n in (1, 3):
+            force_workers(monkeypatch, n)
+            params, values, f = two_squares()
+            b = params[1][1]
+
+            def bad_when_b250_moves():
+                return tensor(np.asarray(np.inf)) if b.data[250] != values[1][250] else f()
+
+            with pytest.raises(NumericalError) as exc:
+                gradcheck(bad_when_b250_moves, params)
+            messages.append(str(exc.value))
+            assert_clean(params, values)
+        assert messages == ["gradcheck: non-finite loss while perturbing b[250]"] * 2
+
+    @pytest.mark.parametrize("fail", ["exit", "raise"])
+    def test_failed_workers_are_recomputed_in_process(self, monkeypatch, fail):
+        force_workers(monkeypatch, 1)
+        params, values, f = two_squares()
+        expected = bits(gradcheck(f, params))
+        forks = force_workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        def dies_in_a_worker():
+            if os.getpid() != parent:
+                if fail == "exit":
+                    os._exit(3)
+                raise RuntimeError("worker only")
+            return f()
+
+        assert bits(gradcheck(dies_in_a_worker, params)) == expected
+        assert len(forks) == 2
+        assert_clean(params, values)
+
+    def test_interrupt_in_the_parent_reaps_every_worker(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        params, values, f = two_squares()
+        a = params[0][1]
+        parent = os.getpid()
+
+        def interrupted_at_a10():
+            if os.getpid() == parent and a.data[10] != values[0][10]:
+                raise KeyboardInterrupt
+            return f()
+
+        with pytest.raises(KeyboardInterrupt):
+            gradcheck(interrupted_at_a10, params)
+        assert_clean(params, values)
+
+    @pytest.mark.parametrize("reason", ["small", "threaded"])
+    def test_stays_in_process(self, monkeypatch, reason):
+        forks = force_workers(monkeypatch, 3)
+        params, values, f = two_squares(n=20 if reason == "small" else 300)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10,))
+        if reason == "threaded":
+            thread.start()  # a worker forked now could inherit a lock this thread holds
+        try:
+            assert gradcheck(f, params).passed
+        finally:
+            release.set()
+            if reason == "threaded":
+                thread.join(10)
+        assert forks == [] and not thread.is_alive()

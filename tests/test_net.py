@@ -90,6 +90,7 @@ class TestBuild:
 
 
 class TestFullModelGradients:
+    @pytest.mark.slow
     def test_all_gates_attached(self):
         case = toy_model_case(toy_model(), np.random.default_rng(2))
         assert relu_input_margin(case.f()) > 1e-4

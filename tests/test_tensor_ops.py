@@ -26,8 +26,10 @@ from rowgate.tensor import (
     relu,
     resample_height,
     reshape,
+    scale,
     sigmoid,
     softmax_cross_entropy,
+    sub,
     tensor,
     upsample2d,
 )
@@ -366,6 +368,35 @@ class TestElementwise:
             mul(tensor(np.zeros((2, 3))), tensor(np.zeros((3, 2))))
         with pytest.raises(ShapeError):
             add(tensor(np.zeros((2, 3))), tensor(np.zeros((2, 4, 5))))
+        with pytest.raises(ShapeError, match="^sub:"):
+            sub(tensor(np.zeros((2, 3))), tensor(np.zeros((2, 4, 5))))
+
+    @pytest.mark.parametrize("shapes", [((2, 3, 4), (2, 3, 4)), ((2, 3), (2, 3, 4)), ((2, 3, 4), (2, 3))],
+                             ids=["same", "row_minus_map", "map_minus_row"])
+    def test_sub_is_bitwise_add_of_negation(self, shapes):
+        # one sub node must give what add(a, scale(b, -1)) gives, bit for bit,
+        # forward and backward, signed zeros and infinities included
+        rng = np.random.default_rng(21)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf])
+
+        def draw(shape):
+            v = rng.normal(size=shape).reshape(-1)
+            v[rng.choice(v.size, v.size // 2, replace=False)] = rng.choice(specials, v.size // 2)
+            return v.reshape(shape)
+
+        a_data, b_data = draw(shapes[0]), draw(shapes[1])
+        weights = draw(np.broadcast_shapes(shapes[0] + (1,) * (3 - len(shapes[0])),
+                                           shapes[1] + (1,) * (3 - len(shapes[1]))))
+        weights[0, 0, :2] = np.inf, -np.inf  # a NaN gradient, summed or not
+        weights[0, 1, :] = -0.0  # a -0 gradient, summed or not
+        results = []
+        for op in (sub, lambda a, b: add(a, scale(b, -1.0))):
+            a, b = parameter(a_data.copy()), parameter(b_data.copy())
+            with np.errstate(invalid="ignore"):
+                out = op(a, b)
+                mul(out, tensor(weights)).sum().backward()
+            results.append([out.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()])
+        assert results[0] == results[1]
 
 
 class TestUpsample2d:
