@@ -10,18 +10,10 @@ of the loss does not fail a correct gradient.  The closure must be
 deterministic; pass eval-mode forward functions or disable dropout/jitter
 before checking.
 
-The two-point probes of every entry of every parameter form one list,
-cut into contiguous chunks, one per CPU this process may run on.  This
-process probes the first chunk; one forked worker per other chunk
-probes its own and sends the losses back through a pipe.  Each probe is
-the same computation on the same bytes wherever it runs, so the report
-does not depend on the worker count.  A chunk whose worker fails is
-probed again here, in order, so errors are the ones a sequential run
-raises.  ``f`` must therefore also be fork-safe, and side effects of
-its evaluations stay in the process that made them: batch-norm running
-statistics, for example, see only this process's share of the probes.
-Small checks, processes with more than one thread and platforms
-without ``fork`` stay in-process.
+The two-point probes of every entry of every parameter are one
+``parallel.fork_map`` over the usable CPUs, so ``f`` must also be
+fork-safe; that module says what runs where.  Checks under
+``_MIN_FORK_ENTRIES`` entries stay in-process.
 
 ``suite`` is the suite behind ``rowgate gradcheck``, built from the
 case builders and the kink-clear draw loop below.
@@ -29,9 +21,6 @@ case builders and the kink-clear draw loop below.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -40,6 +29,7 @@ import numpy as np
 from . import attention as attn
 from .errors import NumericalError
 from .net import GATE_SITES, ToySegConfig, ToySegModel
+from .parallel import fork_map
 from .tensor import Tensor, parameter, relu_input_margin, softmax_cross_entropy, tensor, zero_grads
 
 # Entries whose analytic and numeric magnitudes are both below this floor
@@ -118,92 +108,6 @@ def _finite(pair, name: str, i: int) -> tuple[float, float]:
     return up, down
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    """Contiguous [lo, hi) bounds over n entries, one per usable CPU, at most n.
-
-    One chunk when forking is unavailable, or unsafe because another
-    thread may hold a lock the worker would need.
-    """
-    if (n < _MIN_FORK_ENTRIES or threading.active_count() > 1
-            or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))):
-        return [(0, n)]
-    k = min(len(os.sched_getaffinity(0)), n)
-    edges = [n * c // k for c in range(k + 1)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _spawn(f: Callable[[], Tensor], entries: list, eps: float) -> tuple[int, int]:
-    """Fork a worker that writes the (up, down) pairs of ``entries`` to a pipe: (pid, read end)."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            view = memoryview(np.array([_probe(f, flat, i, eps) for flat, i in entries]).tobytes())
-            while view:
-                view = view[os.write(w, view):]
-            code = 0
-        finally:
-            os._exit(code)  # never return into the caller, whatever was raised
-    os.close(w)
-    return pid, r
-
-
-def _fan_out(f: Callable[[], Tensor], entries: list, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two-point (up, down) pairs of ``entries`` from forked workers, and which were delivered.
-
-    Chunk 0 runs in this process.  A chunk whose worker raised, died or
-    wrote a short result is left undelivered, as is everything when one
-    chunk covers all entries: the caller computes those in order.
-    """
-    pairs = np.empty((len(entries), 2))
-    delivered = np.zeros(len(entries), dtype=bool)
-    chunks = _chunks(len(entries))
-    if len(chunks) == 1:
-        return pairs, delivered
-    workers = []  # (pid, read end, lo, hi) of each worker not yet reaped, in chunk order
-    try:
-        for lo, hi in chunks[1:]:
-            try:
-                workers.append((*_spawn(f, entries[lo:hi], eps), lo, hi))
-            except OSError:
-                break
-        lo, hi = chunks[0]
-        try:
-            for j in range(lo, hi):
-                flat, i = entries[j]
-                pairs[j] = _probe(f, flat, i, eps)
-                delivered[j] = True
-        except Exception:
-            pass  # the caller re-runs this entry in order and raises there
-        while workers:
-            pid, r, lo, hi = workers[0]
-            with open(r, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            workers.pop(0)
-            os.close(r)
-            if status == 0 and len(data) == pairs[lo:hi].nbytes:
-                pairs[lo:hi] = np.frombuffer(data).reshape(-1, 2)
-                delivered[lo:hi] = True
-    finally:
-        if workers:  # left only when this process was interrupted
-            import signal  # here, so importing rowgate imports nothing new
-        for pid, r, _, _ in workers:
-            os.close(r)
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-    return pairs, delivered
-
-
 def gradcheck(
     f: Callable[[], Tensor],
     params: Sequence[tuple[str, Tensor]],
@@ -230,16 +134,13 @@ def gradcheck(
 
         analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors]
         flats = [t.data.reshape(-1) for t in tensors]
-        pairs, delivered = _fan_out(f, [(flat, i) for flat in flats for i in range(flat.size)], eps)
+        probes = fork_map(lambda job: _probe(f, *job, eps),
+                          [(flat, i) for flat in flats for i in range(flat.size)], _MIN_FORK_ENTRIES)
 
         report = GradCheckReport(epsilon=eps, tolerance=tol)
-        start = 0
         for (name, t), ana, flat in zip(params, analytic, flats):
-            block, have = pairs[start : start + flat.size], delivered[start : start + flat.size]
-            start += flat.size
-            for i in range(flat.size):
-                block[i] = _finite(block[i] if have[i] else _probe(f, flat, i, eps), name, i)
-            ups, downs = block.T
+            block = [_finite(next(probes), name, i) for i in range(flat.size)]
+            ups, downs = np.array(block, dtype=float).reshape(-1, 2).T
             num = (ups - downs) / (2.0 * eps)
             for i in np.flatnonzero(_rel_errors(ana.reshape(-1), num) >= tol):
                 up2, down2 = _finite(_probe(f, flat, i, 2.0 * eps), name, i)

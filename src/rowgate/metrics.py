@@ -8,6 +8,7 @@ import numpy as np
 
 from .data import IGNORE_LABEL, Sample
 from .errors import ShapeError
+from .parallel import fork_map
 
 REGION_COUNT = 4  # equal horizontal quarters
 
@@ -53,22 +54,33 @@ def region_slices(height: int, regions: int = REGION_COUNT) -> list[slice]:
     return [slice(edges[i], edges[i + 1]) for i in range(regions)]
 
 
+def _image_counts(model, sample: Sample, k: int) -> tuple:
+    """One image's confusion, its region confusions, and its correct and labelled pixel counts."""
+    prediction = model.forward(sample.image, training=False).data.argmax(axis=0)
+    conf = confusion_matrix(prediction, sample.label, k)
+    regions = [confusion_matrix(prediction[sl], sample.label[sl], k)
+               for sl in region_slices(sample.label.shape[0])]
+    valid = sample.label != IGNORE_LABEL
+    return conf, regions, int((prediction[valid] == sample.label[valid]).sum()), int(valid.sum())
+
+
 def evaluate(model, dataset: list[Sample]) -> EvalReport:
-    """Accumulate confusions over the dataset in eval mode."""
+    """Accumulate confusions over the dataset in eval mode, the images fanned out by ``fork_map``.
+
+    An eval-mode forward must be fork-safe and free of side effects.  Only
+    integer counts are summed, so the report does not depend on the worker count.
+    """
     k = model.config.num_classes
     total = np.zeros((k, k), dtype=np.int64)
     regional = [np.zeros((k, k), dtype=np.int64) for _ in range(REGION_COUNT)]
     correct = 0
     counted = 0
-    for sample in dataset:
-        logits = model.forward(sample.image, training=False)
-        prediction = logits.data.argmax(axis=0)
-        total += confusion_matrix(prediction, sample.label, k)
-        for region, sl in zip(regional, region_slices(sample.label.shape[0])):
-            region += confusion_matrix(prediction[sl], sample.label[sl], k)
-        valid = sample.label != IGNORE_LABEL
-        correct += int((prediction[valid] == sample.label[valid]).sum())
-        counted += int(valid.sum())
+    for conf, regions, hits, valid in fork_map(lambda s: _image_counts(model, s, k), dataset, 2):
+        total += conf
+        for acc, region in zip(regional, regions):
+            acc += region
+        correct += hits
+        counted += valid
     per_class, miou = iou_from_confusion(total)
     per_region = [iou_from_confusion(conf)[1] for conf in regional]
     accuracy = correct / counted if counted else float("nan")

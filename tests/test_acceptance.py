@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The training-based
-criteria (5, 7, 8) share module-scoped fixtures; the whole suite needs
-roughly 10-15 minutes of CPU.  Criterion 6 runs only when
+criteria (5, 7, 8) share one module-scoped fixture that trains all nine
+of their runs, about 8 minutes of CPU spread over the usable CPUs
+(4.5 minutes on two); the whole suite needs roughly 10 minutes of CPU.
+Criterion 6 runs only when
 ``ROWGATE_CITYSCAPES_DIR`` points at a directory of *labelTrainIds*
 rasters and is skipped otherwise.
 """
@@ -22,6 +24,7 @@ from rowgate.data import nominal_bands, synth_banded
 from rowgate.gradcheck import Case, draw_clear, gate_case, gradcheck, toy_model, toy_model_case
 from rowgate.metrics import evaluate
 from rowgate.net import LOGIT_STRIDE, ToySegConfig, ToySegModel
+from rowgate.parallel import fork_map
 from rowgate.stats import (
     LabelMap,
     axis_distribution,
@@ -43,39 +46,51 @@ def verdict(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def build_and_train(seed: int, layers, max_iteration: int = 400):
+def _config(seed: int, layers) -> ToySegConfig:
+    return ToySegConfig(num_classes=6, gate_layers=frozenset(layers), gate=EFFICACY_GATE, seed=seed)
+
+
+def _train_state(job):
+    """Train the (seed, layers) run wherever this is called: (state arrays, seconds)."""
+    seed, layers = job
     height, width = DATA_SHAPE
-    config = ToySegConfig(
-        num_classes=6, gate_layers=frozenset(layers), gate=EFFICACY_GATE, seed=seed
-    )
-    model = ToySegModel.build(config)
+    model = ToySegModel.build(_config(seed, layers))
     train_set = synth_banded(seed=2 * seed, n_images=200, height=height, width=width)
-    val_set = synth_banded(seed=2 * seed + 1, n_images=50, height=height, width=width)
-    train_config = TrainConfig(max_iteration=max_iteration, batch_size=4, crop=DATA_SHAPE)
+    train_config = TrainConfig(max_iteration=400, batch_size=4, crop=DATA_SHAPE)
     start = time.monotonic()
     train(model, train_set, train_config, np.random.default_rng(seed))
-    elapsed = time.monotonic() - start
-    report = evaluate(model, val_set)
-    return dict(model=model, report=report, elapsed=elapsed, val_set=val_set)
+    return dict(model.state_arrays()), time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
-def efficacy_runs():
-    runs = []
-    for seed in SEEDS:
-        runs.append(
-            dict(
-                seed=seed,
-                baseline=build_and_train(seed, ()),
-                gated=build_and_train(seed, (1, 2, 3, 4)),
-            )
-        )
+def trained_runs():
+    """Every training run of criteria 5, 7 and 8 by (seed, gate layers), trained across the CPUs.
+
+    Each run is rebuilt from its state arrays and evaluated here.  The
+    slowest runs come first (L1-L4 gates, then L5, then none), so on two
+    CPUs the contiguous chunks of ``fork_map`` take about as long.
+    """
+    height, width = DATA_SHAPE
+    jobs = [(seed, layers) for layers in ((1, 2, 3, 4), (5,), ()) for seed in SEEDS]
+    runs = {}
+    for (seed, layers), (state, elapsed) in zip(jobs, fork_map(_train_state, jobs, 2)):
+        model = ToySegModel.build(_config(seed, layers))
+        model.load_state(state)
+        val_set = synth_banded(seed=2 * seed + 1, n_images=50, height=height, width=width)
+        runs[seed, layers] = dict(model=model, report=evaluate(model, val_set), elapsed=elapsed,
+                                  val_set=val_set)
     return runs
 
 
 @pytest.fixture(scope="module")
-def logit_gate_runs():
-    return [dict(seed=seed, run=build_and_train(seed, (5,))) for seed in SEEDS]
+def efficacy_runs(trained_runs):
+    return [dict(seed=seed, baseline=trained_runs[seed, ()], gated=trained_runs[seed, (1, 2, 3, 4)])
+            for seed in SEEDS]
+
+
+@pytest.fixture(scope="module")
+def logit_gate_runs(trained_runs):
+    return [dict(seed=seed, run=trained_runs[seed, (5,)]) for seed in SEEDS]
 
 
 # ---------------------------------------------------------------------------
