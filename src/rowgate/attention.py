@@ -137,11 +137,6 @@ class RowGateParams:
         ]
 
 
-# Final-conv bias at init: sigmoid(2) ~ 0.88, so fresh gates pass most of
-# the signal through instead of halving it at every attachment depth.
-OPEN_GATE_BIAS = 2.0
-
-
 def _init_conv1d(out_channels: int, in_channels: int, rng: np.random.Generator) -> ConvParams1D:
     bound = np.sqrt(6.0 / (in_channels * KERNEL_SIZE))
     kernel = rng.uniform(-bound, bound, size=(out_channels, in_channels, KERNEL_SIZE))
@@ -153,7 +148,7 @@ def _init_conv1d(out_channels: int, in_channels: int, rng: np.random.Generator) 
 
 
 def init_params(config: RowGateConfig, rng: np.random.Generator) -> RowGateParams:
-    """Fan-in scaled uniform kernels, near-open final gate, identity norms."""
+    """Fan-in scaled uniform kernels, zero biases, identity norms."""
     m = config.mid_channels
     params = RowGateParams(
         conv1=_init_conv1d(m, config.in_channels, rng),
@@ -162,7 +157,6 @@ def init_params(config: RowGateConfig, rng: np.random.Generator) -> RowGateParam
         norm1=BatchNormState.create(m),
         norm2=BatchNormState.create(2 * m),
     )
-    params.conv3.bias.data[:] = OPEN_GATE_BIAS
     if config.pe_mode == "sinusoidal":
         params.pe_table = posenc.sinusoidal_table(config.coarse_height, config.pe_channels)
     elif config.pe_mode == "learnable":
