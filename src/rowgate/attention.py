@@ -30,6 +30,7 @@ from .tensor import (
     conv1d,
     dropout,
     mul,
+    parameter,
     pool_width,
     relu,
     resample_height,
@@ -140,11 +141,7 @@ class RowGateParams:
 def _init_conv1d(out_channels: int, in_channels: int, rng: np.random.Generator) -> ConvParams1D:
     bound = np.sqrt(6.0 / (in_channels * KERNEL_SIZE))
     kernel = rng.uniform(-bound, bound, size=(out_channels, in_channels, KERNEL_SIZE))
-    k = Tensor(kernel)
-    k.requires_grad = True
-    b = Tensor(np.zeros(out_channels))
-    b.requires_grad = True
-    return ConvParams1D(kernel=k, bias=b)
+    return ConvParams1D(kernel=parameter(kernel), bias=parameter(np.zeros(out_channels)))
 
 
 def init_params(config: RowGateConfig, rng: np.random.Generator) -> RowGateParams:
@@ -235,11 +232,11 @@ def attention_from_context(
 
     q = dropout(z_hat, config.dropout_p, rng, training)
     q = maybe_inject(q, 1)
-    q = relu(batch_norm1d(conv1d(q, params.conv1, pad_mode="replicate"), params.norm1, training))
+    q = relu(batch_norm1d(conv1d(q, params.conv1), params.norm1, training))
     q = maybe_inject(q, 2)
-    q = relu(batch_norm1d(conv1d(q, params.conv2, pad_mode="replicate"), params.norm2, training))
+    q = relu(batch_norm1d(conv1d(q, params.conv2), params.norm2, training))
     q = maybe_inject(q, 3)
-    q = sigmoid(conv1d(q, params.conv3, pad_mode="replicate"))
+    q = sigmoid(conv1d(q, params.conv3))
     return clip_open_unit(q)
 
 

@@ -49,19 +49,18 @@ def iou_from_confusion(confusion: np.ndarray) -> tuple[np.ndarray, float]:
     return iou, miou
 
 
-def region_slices(height: int, regions: int = REGION_COUNT) -> list[slice]:
-    edges = [(i * height) // regions for i in range(regions + 1)]
-    return [slice(edges[i], edges[i + 1]) for i in range(regions)]
+def region_slices(height: int) -> list[slice]:
+    """``REGION_COUNT`` horizontal bands that together cover every row."""
+    edges = [(i * height) // REGION_COUNT for i in range(REGION_COUNT + 1)]
+    return [slice(edges[i], edges[i + 1]) for i in range(REGION_COUNT)]
 
 
-def _image_counts(model, sample: Sample, k: int) -> tuple:
-    """One image's confusion, its region confusions, and its correct and labelled pixel counts."""
-    prediction = model.forward(sample.image, training=False).data.argmax(axis=0)
-    conf = confusion_matrix(prediction, sample.label, k)
-    regions = [confusion_matrix(prediction[sl], sample.label[sl], k)
-               for sl in region_slices(sample.label.shape[0])]
-    valid = sample.label != IGNORE_LABEL
-    return conf, regions, int((prediction[valid] == sample.label[valid]).sum()), int(valid.sum())
+def _image_counts(model, sample: Sample, k: int) -> list[np.ndarray]:
+    """One image's confusion in each region."""
+    prediction, label = model.forward(sample.image, training=False).data.argmax(axis=0), sample.label
+    if prediction.shape != label.shape:  # before slicing, so the error names the whole maps
+        raise ShapeError(f"prediction {prediction.shape} vs label {label.shape}")
+    return [confusion_matrix(prediction[sl], label[sl], k) for sl in region_slices(label.shape[0])]
 
 
 def evaluate(model, dataset: list[Sample]) -> EvalReport:
@@ -69,20 +68,17 @@ def evaluate(model, dataset: list[Sample]) -> EvalReport:
 
     An eval-mode forward must be fork-safe and free of side effects.  Only
     integer counts are summed, so the report does not depend on the worker count.
+    The regions cover every row, so their confusions sum to the whole one.
     """
     k = model.config.num_classes
-    total = np.zeros((k, k), dtype=np.int64)
     regional = [np.zeros((k, k), dtype=np.int64) for _ in range(REGION_COUNT)]
-    correct = 0
-    counted = 0
-    for conf, regions, hits, valid in fork_map(lambda s: _image_counts(model, s, k), dataset, 2):
-        total += conf
+    for regions in fork_map(lambda s: _image_counts(model, s, k), dataset, 2):
         for acc, region in zip(regional, regions):
             acc += region
-        correct += hits
-        counted += valid
+    total = sum(regional)
     per_class, miou = iou_from_confusion(total)
     per_region = [iou_from_confusion(conf)[1] for conf in regional]
+    correct, counted = int(np.trace(total)), int(total.sum())
     accuracy = correct / counted if counted else float("nan")
     return EvalReport(
         confusion=total,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import attention as attn
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, concat_channels, conv2d, relu, tensor, upsample2d
+from .tensor import Tensor, concat_channels, conv2d, parameter, relu, tensor, upsample2d
 
 GATE_SITES = (1, 2, 3, 4, 5)
 TOTAL_STRIDE = 4
@@ -77,9 +77,7 @@ class ConvLayer:
         # replicate padding: edge rows look like their neighbours, so the
         # convolutional stream carries no absolute-position beacon and the
         # gates' positional encoding is the only explicit position pathway
-        return conv2d(
-            x, self.weight, self.bias, stride=self.stride, dilation=self.dilation, pad_mode="replicate"
-        )
+        return conv2d(x, self.weight, self.bias, stride=self.stride, dilation=self.dilation)
 
     def named(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
@@ -87,11 +85,8 @@ class ConvLayer:
 
 def _init_conv(out_channels: int, in_channels: int, rng: np.random.Generator, stride: int = 1, dilation: int = 1) -> ConvLayer:
     bound = np.sqrt(6.0 / (in_channels * 9))  # He-scaled uniform for relu stacks
-    w = Tensor(rng.uniform(-bound, bound, size=(out_channels, in_channels, 3, 3)))
-    w.requires_grad = True
-    b = Tensor(np.zeros(out_channels))
-    b.requires_grad = True
-    return ConvLayer(weight=w, bias=b, stride=stride, dilation=dilation)
+    w = parameter(rng.uniform(-bound, bound, size=(out_channels, in_channels, 3, 3)))
+    return ConvLayer(weight=w, bias=parameter(np.zeros(out_channels)), stride=stride, dilation=dilation)
 
 
 @dataclass

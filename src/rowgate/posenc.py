@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, parameter
 
 # Frequency base of the sinusoid family: position p, channel pair i maps to
 # sin(p / BASE^(2i/C)) and cos(p / BASE^(2i/C)).
@@ -55,9 +55,7 @@ def learnable_table(positions: int, channels: int, rng: np.random.Generator) -> 
     """From-scratch trainable table, small uniform init."""
     bound = 1.0 / np.sqrt(channels)
     values = rng.uniform(-bound, bound, size=(positions, channels))
-    t = Tensor(values)
-    t.requires_grad = True
-    return PETable(values=t, mode="learnable")
+    return PETable(values=parameter(values), mode="learnable")
 
 
 def jitter(positions: int, jitter_max: int, rng: Optional[np.random.Generator]) -> np.ndarray:

@@ -157,11 +157,11 @@ def write_heatmap_pgm(path, values: np.ndarray) -> None:
     write_pgm(path, unit_to_u8(values))
 
 
-def write_matrix_csv(path, matrix: np.ndarray, fmt: str = "%.6g") -> None:
+def write_matrix_csv(path, matrix: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in np.atleast_2d(np.asarray(matrix)):
-            writer.writerow([fmt % v for v in row])
+            writer.writerow(["%.6g" % v for v in row])
 
 
 def write_csv_rows(path, rows: Sequence[Sequence[str]]) -> None:
@@ -171,7 +171,7 @@ def write_csv_rows(path, rows: Sequence[Sequence[str]]) -> None:
 
 def write_attention_csv(path, attention: np.ndarray) -> None:
     """Gate map as CSV: one row per image row, one column per channel."""
-    write_matrix_csv(path, np.asarray(attention).T, fmt="%.6g")
+    write_matrix_csv(path, np.asarray(attention).T)
 
 
 def write_attention_pgm(path, attention: np.ndarray) -> None:

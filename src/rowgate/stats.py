@@ -229,11 +229,10 @@ def distribution_divergence(height_dist: np.ndarray, width_dist: np.ndarray) -> 
     return spread(height_dist), spread(width_dist)
 
 
-def render_report_text(report: DistributionReport, class_names: Sequence[str] | None = None) -> str:
+def render_report_text(report: DistributionReport) -> str:
     """Aligned text table: one row per band plus the whole-image row."""
     k = report.probabilities.shape[1]
-    names = list(class_names) if class_names else [f"c{i}" for i in range(k)]
-    header = ["band", *names, "entropy"]
+    header = ["band", *(f"c{i}" for i in range(k)), "entropy"]
     rows: list[list[str]] = []
     total_mass = report.band_masses.sum()
     pooled = np.zeros(k)

@@ -18,9 +18,13 @@ guarantees rely on this).  The max anchor of width pooling also keeps
 its result invariant under reordering of exactly representable values
 within a row.
 
-Padding is hand-rolled (``_pad`` and its adjoint ``_unpad``) because the
-gate convolves maps of a few rows, where ``np.pad``'s per-call overhead
-costs more than the convolution itself.
+``conv1d`` and ``conv2d`` are one kernel, ``_conv``, at two ranks: the
+gate convolves its width-pooled context along height and the backbone
+convolves along height and width.  Both pad by repeating the edge values,
+so a map constant along an axis stays constant along it and no border
+signature marks absolute position.  Padding is hand-rolled (``_pad`` and
+its adjoint ``_unpad``) because the gate convolves maps of a few rows,
+where ``np.pad``'s per-call overhead costs more than the convolution.
 """
 
 from __future__ import annotations
@@ -31,9 +35,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .data import IGNORE_LABEL
 from .errors import ConfigError, ShapeError
 
 Array = np.ndarray
+OPEN_UNIT_MARGIN = 1e-12  # clip_open_unit keeps values this far inside (0, 1)
+BN_MOMENTUM = 0.1  # weight of the current batch in batch-norm running statistics
+BN_EPS = 1e-5  # added to the batch-norm variance before the square root
 
 
 class Tensor:
@@ -284,13 +292,13 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def clip_open_unit(x: Tensor, margin: float = 1e-12) -> Tensor:
+def clip_open_unit(x: Tensor) -> Tensor:
     """Clamp values into the open interval (0, 1).
 
     Float64 sigmoid saturates to exactly 0.0 or 1.0 for |z| beyond ~36;
     this keeps gating factors strictly inside (0, 1) for any finite input.
     """
-    lo, hi = margin, 1.0 - margin
+    lo, hi = OPEN_UNIT_MARGIN, 1.0 - OPEN_UNIT_MARGIN
     inside = (x.data > lo) & (x.data < hi)
     out = Tensor(np.clip(x.data, lo, hi), x.requires_grad, (x,), None, "clip_open_unit")
 
@@ -307,33 +315,27 @@ def clip_open_unit(x: Tensor, margin: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _pad(a: Array, pads: Sequence[int], pad_mode: str) -> Array:
-    """Pad the trailing ``len(pads)`` axes of ``a`` by ``pads[i]`` per side, in one buffer.
+def _pad(a: Array, pads: Sequence[int]) -> Array:
+    """Pad the trailing ``len(pads)`` axes of ``a`` by ``pads[i]`` per side, repeating the edges.
 
-    ``"zero"`` fills with zeros and ``"replicate"`` repeats the edge values:
-    bitwise what ``np.pad`` gives in its ``constant`` and ``edge`` modes,
-    also for pads wider than the extent.
+    One buffer, bitwise ``np.pad``'s ``edge`` mode, also for pads wider than the extent.
     """
     lead = a.ndim - len(pads)
-    shape = a.shape[:lead] + tuple(n + 2 * p for n, p in zip(a.shape[lead:], pads))
-    out = np.zeros(shape) if pad_mode == "zero" else np.empty(shape)
+    out = np.empty(a.shape[:lead] + tuple(n + 2 * p for n, p in zip(a.shape[lead:], pads)))
     out[(slice(None),) * lead + tuple(slice(p, p + n) for n, p in zip(a.shape[lead:], pads))] = a
-    if pad_mode == "replicate":
-        # axis by axis over the full extent of the others, so corners come out right
-        for axis, p in enumerate(pads, lead):
-            if p:
-                n = a.shape[axis]
-                pre = (slice(None),) * axis
-                out[pre + (slice(0, p),)] = out[pre + (slice(p, p + 1),)]
-                out[pre + (slice(p + n, None),)] = out[pre + (slice(p + n - 1, p + n),)]
+    # axis by axis over the full extent of the others, so corners come out right
+    for axis, p in enumerate(pads, lead):
+        if p:
+            n = a.shape[axis]
+            pre = (slice(None),) * axis
+            out[pre + (slice(0, p),)] = out[pre + (slice(p, p + 1),)]
+            out[pre + (slice(p + n, None),)] = out[pre + (slice(p + n - 1, p + n),)]
     return out
 
 
-def _unpad(g: Array, pads: Sequence[int], pad_mode: str) -> Array:
-    """Adjoint of ``_pad``: crop the interior, folding replicate pads into the edges."""
+def _unpad(g: Array, pads: Sequence[int]) -> Array:
+    """Adjoint of ``_pad``: crop the interior, folding the pads into the edges."""
     lead = g.ndim - len(pads)
-    if pad_mode == "zero":
-        return g[(slice(None),) * lead + tuple(slice(p, n - p) for n, p in zip(g.shape[lead:], pads))].copy()
     for axis, p in enumerate(pads, lead):
         n = g.shape[axis] - 2 * p
         pre = (slice(None),) * axis
@@ -345,6 +347,72 @@ def _unpad(g: Array, pads: Sequence[int], pad_mode: str) -> Array:
     return g
 
 
+@lru_cache(maxsize=None)
+def _conv_plan(op: str, x_shape: tuple, w_shape: tuple, b_shape: tuple, stride: int, dilation: int):
+    """Checked geometry of one convolution, cached per shape.
+
+    Pads, flat and full output shapes, window shape, the channels-last axis order, and per
+    tap in row-major order its (C_out, C_in) kernel index and strided padded-input window.
+    """
+    c_in, spatial = x_shape[0], x_shape[1:]
+    if len(w_shape) != len(x_shape) + 1:
+        raise ShapeError(f"{op} kernel must be rank {len(x_shape) + 1}, got {w_shape}")
+    c_out, extents = w_shape[0], w_shape[2:]
+    if w_shape[1] != c_in:
+        raise ShapeError(f"{op}: input has {c_in} channels, kernel expects {w_shape[1]}")
+    if any(k % 2 == 0 for k in extents):
+        raise ConfigError(f"{op} kernel extents must be odd, got {'x'.join(map(str, extents))}")
+    if b_shape != (c_out,):
+        raise ShapeError(f"{op} bias shape {b_shape} does not match {c_out} output channels")
+    pads = tuple(dilation * (k - 1) // 2 for k in extents)
+    out = tuple((n + 2 * p - dilation * (k - 1) - 1) // stride + 1 for n, p, k in zip(spatial, pads, extents))
+    taps = tuple(((slice(None), slice(None)) + idx, (slice(None),) + tuple(
+        slice(i * dilation, i * dilation + stride * (o - 1) + 1, stride) for i, o in zip(idx, out)))
+        for idx in np.ndindex(*extents))
+    flat = (c_out, int(np.prod(out)))
+    return pads, flat, (c_out,) + out, (c_in,) + out, tuple(range(1, len(x_shape))) + (0,), taps
+
+
+def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, dilation: int, op: str) -> Tensor:
+    """Replicate-padded convolution over the trailing axes of a (C_in, *spatial) input.
+
+    Padding is ``dilation * (K - 1) / 2`` per side on each axis.  One GEMM
+    per tap, accumulated from zeros with the bias added last; the backward
+    pass feeds BLAS the operand layouts ``np.tensordot`` would.
+    """
+    w = weight.data
+    pads, flat, out_shape, win_shape, channels_last, taps = _conv_plan(
+        op, x.data.shape, w.shape, bias.data.shape, stride, dilation
+    )
+    c_in = w.shape[1]
+    xp = _pad(x.data, pads)
+    y = np.zeros(flat)
+    for k, win in taps:
+        y += np.dot(w[k], xp[win].reshape(c_in, -1))
+    y += bias.data[:, None]
+    out = Tensor(y.reshape(out_shape), _needs(x, weight, bias), (x, weight, bias), None, op)
+
+    def backward(g: Array) -> None:
+        g = g.reshape(flat)
+        if bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=1))
+        need_x, need_w = x.requires_grad, weight.requires_grad
+        dxp = np.zeros_like(xp) if need_x else None
+        dw = np.empty_like(w) if need_w else None
+        for k, win in taps:
+            if need_w:
+                dw[k] = np.dot(g, xp[win].transpose(channels_last).reshape(-1, c_in))
+            if need_x:
+                dxp[win] += np.dot(w[k].T, g).reshape(win_shape)
+        if need_w:
+            weight.accumulate_grad(dw)
+        if need_x:
+            x.accumulate_grad(_unpad(dxp, pads))
+
+    out._backward = backward
+    return out
+
+
 @dataclass
 class ConvParams1D:
     """Weights of one 1D convolution: kernel (C_out, C_in, K) and bias (C_out,)."""
@@ -352,130 +420,19 @@ class ConvParams1D:
     kernel: Tensor
     bias: Tensor
 
-    def __post_init__(self):
-        if self.kernel.data.ndim != 3:
-            raise ShapeError(f"conv1d kernel must be rank 3, got {self.kernel.shape}")
-        k = self.kernel.shape[2]
-        if k % 2 == 0:
-            raise ConfigError(f"conv1d kernel size must be odd for symmetric padding, got {k}")
-        if self.bias.shape != (self.kernel.shape[0],):
-            raise ShapeError(
-                f"conv1d bias shape {self.bias.shape} does not match {self.kernel.shape[0]} output channels"
-            )
 
-
-def conv1d(x: Tensor, params: ConvParams1D, pad_mode: str = "zero") -> Tensor:
-    """Same-length 1D convolution over (C_in, L) input.
-
-    ``pad_mode`` is ``"zero"`` or ``"replicate"``; replicate padding keeps
-    constant-along-length inputs constant along the full output length.
-    """
-    w, b = params.kernel, params.bias
+def conv1d(x: Tensor, params: ConvParams1D) -> Tensor:
+    """Same-length 1D convolution over a (C_in, L) input; constant inputs stay constant."""
     if x.data.ndim != 2:
         raise ShapeError(f"conv1d input must be rank 2 (channels x length), got {x.shape}")
-    c_out, c_in, k = w.shape
-    if x.shape[0] != c_in:
-        raise ShapeError(f"conv1d: input has {x.shape[0]} channels, kernel expects {c_in}")
-    if pad_mode not in ("zero", "replicate"):
-        raise ConfigError(f"conv1d: unknown pad_mode {pad_mode!r}")
-    length = x.shape[1]
-    p = (k - 1) // 2
-    xp = _pad(x.data, (p,), pad_mode)
-
-    y = np.empty((c_out, length))
-    y[...] = b.data[:, None]
-    for ki in range(k):
-        y += w.data[:, :, ki] @ xp[:, ki : ki + length]
-    out = Tensor(y, _needs(x, w, b), (x, w, b), None, "conv1d")
-
-    def backward(g: Array) -> None:
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=1))
-        if w.requires_grad:
-            dw = np.empty_like(w.data)
-            for ki in range(k):
-                dw[:, :, ki] = g @ xp[:, ki : ki + length].T
-            w.accumulate_grad(dw)
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for ki in range(k):
-                dxp[:, ki : ki + length] += w.data[:, :, ki].T @ g
-            x.accumulate_grad(_unpad(dxp, (p,), pad_mode))
-
-    out._backward = backward
-    return out
+    return _conv(x, params.kernel, params.bias, 1, 1, "conv1d")
 
 
-def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor,
-    stride: int = 1,
-    dilation: int = 1,
-    pad_mode: str = "zero",
-) -> Tensor:
-    """2D convolution over (C_in, H, W) with symmetric same padding.
-
-    Padding is ``dilation * (K - 1) / 2`` per side, so stride 1 preserves
-    the spatial size and stride 2 halves even extents.  ``pad_mode`` is
-    ``"zero"`` or ``"replicate"``; replicate removes the border signature
-    a zero pad would imprint on edge activations.
-    """
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, dilation: int = 1) -> Tensor:
+    """2D convolution over (C_in, H, W); stride 1 keeps the size and stride 2 halves even extents."""
     if x.data.ndim != 3:
         raise ShapeError(f"conv2d input must be rank 3, got {x.shape}")
-    c_out, c_in, kh, kw = weight.shape
-    if x.shape[0] != c_in:
-        raise ShapeError(f"conv2d: input has {x.shape[0]} channels, kernel expects {c_in}")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ConfigError(f"conv2d kernel extents must be odd, got {kh}x{kw}")
-    if bias.shape != (c_out,):
-        raise ShapeError(f"conv2d bias shape {bias.shape} does not match {c_out} output channels")
-    if pad_mode not in ("zero", "replicate"):
-        raise ConfigError(f"conv2d: unknown pad_mode {pad_mode!r}")
-    _, h, w_in = x.shape
-    ph = dilation * (kh - 1) // 2
-    pw = dilation * (kw - 1) // 2
-    xp = _pad(x.data, (ph, pw), pad_mode)
-    h_out = (h + 2 * ph - dilation * (kh - 1) - 1) // stride + 1
-    w_out = (w_in + 2 * pw - dilation * (kw - 1) - 1) // stride + 1
-
-    y = np.zeros((c_out, h_out, w_out))
-    for ki in range(kh):
-        for kj in range(kw):
-            xs = xp[
-                :,
-                ki * dilation : ki * dilation + stride * (h_out - 1) + 1 : stride,
-                kj * dilation : kj * dilation + stride * (w_out - 1) + 1 : stride,
-            ]
-            y += np.tensordot(weight.data[:, :, ki, kj], xs, axes=1)
-    y += bias.data[:, None, None]
-    out = Tensor(y, _needs(x, weight, bias), (x, weight, bias), None, "conv2d")
-
-    def backward(g: Array) -> None:
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(1, 2)))
-        need_x = x.requires_grad
-        need_w = weight.requires_grad
-        dxp = np.zeros_like(xp) if need_x else None
-        dw = np.empty_like(weight.data) if need_w else None
-        for ki in range(kh):
-            for kj in range(kw):
-                sl = (
-                    slice(None),
-                    slice(ki * dilation, ki * dilation + stride * (h_out - 1) + 1, stride),
-                    slice(kj * dilation, kj * dilation + stride * (w_out - 1) + 1, stride),
-                )
-                if need_w:
-                    dw[:, :, ki, kj] = np.tensordot(g, xp[sl], axes=([1, 2], [1, 2]))
-                if need_x:
-                    dxp[sl] += np.tensordot(weight.data[:, :, ki, kj], g, axes=([0], [0]))
-        if need_w:
-            weight.accumulate_grad(dw)
-        if need_x:
-            x.accumulate_grad(_unpad(dxp, (ph, pw), pad_mode))
-
-    out._backward = backward
-    return out
+    return _conv(x, weight, bias, stride, dilation, "conv2d")
 
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:
@@ -632,18 +589,14 @@ class BatchNormState:
     beta: Tensor
     running_mean: Array
     running_var: Array
-    momentum: float = 0.1
-    eps: float = 1e-5
 
     @staticmethod
-    def create(channels: int, momentum: float = 0.1, eps: float = 1e-5) -> "BatchNormState":
+    def create(channels: int) -> "BatchNormState":
         return BatchNormState(
             gamma=parameter(np.ones(channels)),
             beta=parameter(np.zeros(channels)),
             running_mean=np.zeros(channels),
             running_var=np.ones(channels),
-            momentum=momentum,
-            eps=eps,
         )
 
 
@@ -664,16 +617,16 @@ def batch_norm1d(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
         mu = x.data.sum(axis=1, keepdims=True) / length
         xc = x.data - mu
         var = (xc * xc).sum(axis=1, keepdims=True) / length
-        inv = 1.0 / np.sqrt(var + state.eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = xc * inv
-        m = state.momentum
+        m = BN_MOMENTUM
         unbiased = var[:, 0] * (length / (length - 1)) if length > 1 else var[:, 0]
         state.running_mean *= 1.0 - m
         state.running_mean += m * mu[:, 0]
         state.running_var *= 1.0 - m
         state.running_var += m * unbiased
     else:
-        inv = 1.0 / np.sqrt(state.running_var[:, None] + state.eps)
+        inv = 1.0 / np.sqrt(state.running_var[:, None] + BN_EPS)
         xhat = (x.data - state.running_mean[:, None]) * inv
 
     y = gamma.data[:, None] * xhat + beta.data[:, None]
@@ -722,10 +675,10 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], training: b
 # ---------------------------------------------------------------------------
 
 
-def softmax_cross_entropy(logits: Tensor, labels: Array, ignore_index: int = 255) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     """Mean pixel cross-entropy of (K, H, W) logits against integer labels.
 
-    Pixels labelled ``ignore_index`` contribute neither loss nor gradient.
+    Pixels labelled ``IGNORE_LABEL`` contribute neither loss nor gradient.
     """
     if logits.data.ndim != 3:
         raise ShapeError(f"softmax_cross_entropy logits must be rank 3, got {logits.shape}")
@@ -733,7 +686,7 @@ def softmax_cross_entropy(logits: Tensor, labels: Array, ignore_index: int = 255
     if labels.shape != logits.shape[1:]:
         raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     k = logits.shape[0]
-    valid = labels != ignore_index
+    valid = labels != IGNORE_LABEL
     count = int(valid.sum())
     if count == 0:
         raise ShapeError("softmax_cross_entropy: no labelled pixels")

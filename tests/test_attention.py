@@ -144,10 +144,10 @@ class TestAttentionFromContext:
         got = attn.attention_from_context(tensor(z_hat), params, cfg, training=False).data
 
         q = tensor(z_hat)
-        q = relu(batch_norm1d(conv1d(q, params.conv1, pad_mode="replicate"), params.norm1, False))
+        q = relu(batch_norm1d(conv1d(q, params.conv1), params.norm1, False))
         q = posenc.inject(q, params.pe_table)
-        q = relu(batch_norm1d(conv1d(q, params.conv2, pad_mode="replicate"), params.norm2, False))
-        q = clip_open_unit(sigmoid(conv1d(q, params.conv3, pad_mode="replicate")))
+        q = relu(batch_norm1d(conv1d(q, params.conv2), params.norm2, False))
+        q = clip_open_unit(sigmoid(conv1d(q, params.conv3)))
         npt.assert_array_equal(got, q.data)
 
     def test_train_mode_composition_with_batch_statistics(self):
@@ -160,9 +160,9 @@ class TestAttentionFromContext:
         got = attn.attention_from_context(tensor(z_hat), params, cfg, training=True).data
 
         q = tensor(z_hat)
-        q = relu(batch_norm1d(conv1d(q, ref_params.conv1, pad_mode="replicate"), ref_params.norm1, True))
-        q = relu(batch_norm1d(conv1d(q, ref_params.conv2, pad_mode="replicate"), ref_params.norm2, True))
-        q = clip_open_unit(sigmoid(conv1d(q, ref_params.conv3, pad_mode="replicate")))
+        q = relu(batch_norm1d(conv1d(q, ref_params.conv1), ref_params.norm1, True))
+        q = relu(batch_norm1d(conv1d(q, ref_params.conv2), ref_params.norm2, True))
+        q = clip_open_unit(sigmoid(conv1d(q, ref_params.conv3)))
         npt.assert_array_equal(got, q.data)
 
     def test_output_in_open_unit_interval_even_for_huge_weights(self):

@@ -1,5 +1,8 @@
 """End-to-end command-line behaviour and exit codes."""
 
+import contextlib
+import io
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -114,23 +117,32 @@ class TestStatsCommand:
         assert "1 more" in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def default_gradcheck():
+    """Exit code and report of one `rowgate gradcheck` run with the default config."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["gradcheck"])
+    return code, out.getvalue()
+
+
 class TestGradcheckCommand:
     # seed 8's first toy-model draw puts a relu input 3.2e-5 from its kink
     @pytest.mark.slow
     @pytest.mark.parametrize("overrides", [[], ["--set", "seed=8"]], ids=["default", "seed8"])
-    def test_default_config_passes(self, overrides, capsys):
-        assert main(["gradcheck", *overrides]) == 0
-        out = capsys.readouterr().out
+    def test_default_config_passes(self, overrides, request, capsys):
+        if overrides:
+            code, out = main(["gradcheck", *overrides]), capsys.readouterr().out
+        else:
+            code, out = request.getfixturevalue("default_gradcheck")
+        assert code == 0
         assert out.count("[PASS]") == 4
         assert "[FAIL]" not in out
 
     @pytest.mark.slow
-    def test_report_is_reproducible(self, capsys):
+    def test_report_is_reproducible(self, default_gradcheck, capsys):
         main(["gradcheck"])
-        first = capsys.readouterr().out
-        main(["gradcheck"])
-        second = capsys.readouterr().out
-        assert first == second
+        assert capsys.readouterr().out == default_gradcheck[1]
 
     def test_oversized_epsilon_is_a_numerical_failure(self, capsys):
         assert main(["gradcheck", "--epsilon", "1e-1"]) == 2

@@ -40,8 +40,8 @@ def conv_params(kernel, bias) -> ConvParams1D:
     return ConvParams1D(kernel=parameter(kernel), bias=parameter(bias))
 
 
-def conv1d_loop_oracle(x, w, b, pad_mode="zero"):
-    """Scalar triple-loop reference for same-length 1D convolution."""
+def conv1d_loop_oracle(x, w, b):
+    """Scalar triple-loop reference for same-length replicate-padded 1D convolution."""
     c_out, c_in, k = w.shape
     length = x.shape[1]
     p = (k - 1) // 2
@@ -51,11 +51,8 @@ def conv1d_loop_oracle(x, w, b, pad_mode="zero"):
             acc = b[co]
             for ci in range(c_in):
                 for ki in range(k):
-                    src = pos + ki - p
-                    if 0 <= src < length:
-                        acc += w[co, ci, ki] * x[ci, src]
-                    elif pad_mode == "replicate":
-                        acc += w[co, ci, ki] * x[ci, min(max(src, 0), length - 1)]
+                    src = min(max(pos + ki - p, 0), length - 1)
+                    acc += w[co, ci, ki] * x[ci, src]
             out[co, pos] = acc
     return out
 
@@ -66,11 +63,11 @@ class TestConv1d:
         out = conv1d(tensor([[1.0, 2.0, 3.0]]), params)
         npt.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
 
-    def test_box_kernel_with_zero_padding(self):
-        # direct summation with zero padding: [0+1+2, 1+2+3, 2+3+0]
+    def test_box_kernel_with_replicate_padding(self):
+        # direct summation with the edges repeated: [1+1+2, 1+2+3, 2+3+3]
         params = conv_params([[[1.0, 1.0, 1.0]]], [0.0])
         out = conv1d(tensor([[1.0, 2.0, 3.0]]), params)
-        npt.assert_array_equal(out.data, [[3.0, 6.0, 5.0]])
+        npt.assert_array_equal(out.data, [[4.0, 6.0, 8.0]])
 
     def test_zero_kernel_gives_constant_bias(self):
         rng = np.random.default_rng(7)
@@ -84,17 +81,17 @@ class TestConv1d:
             conv1d(tensor(np.zeros((4, 5))), params)
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(ConfigError):
-            conv_params(np.zeros((1, 1, 4)), np.zeros(1))
+        params = conv_params(np.zeros((1, 1, 4)), np.zeros(1))
+        with pytest.raises(ConfigError, match="^conv1d kernel extents must be odd"):
+            conv1d(tensor(np.zeros((1, 5))), params)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
-        for pad_mode in ("zero", "replicate"):
-            x = rng.normal(size=(3, 8))
-            w = rng.normal(size=(4, 3, 3))
-            b = rng.normal(size=4)
-            out = conv1d(tensor(x), conv_params(w, b), pad_mode=pad_mode)
-            npt.assert_allclose(out.data, conv1d_loop_oracle(x, w, b, pad_mode), atol=1e-12)
+        x = rng.normal(size=(3, 8))
+        w = rng.normal(size=(4, 3, 3))
+        b = rng.normal(size=4)
+        out = conv1d(tensor(x), conv_params(w, b))
+        npt.assert_allclose(out.data, conv1d_loop_oracle(x, w, b), atol=1e-12)
 
     def test_linearity_with_zero_bias(self):
         rng = np.random.default_rng(3)
@@ -108,11 +105,11 @@ class TestConv1d:
 
     def test_replicate_padding_preserves_constant_length(self):
         params = conv_params(np.full((1, 1, 3), 0.5), [0.1])
-        out = conv1d(tensor(np.full((1, 6), 2.0)), params, pad_mode="replicate")
+        out = conv1d(tensor(np.full((1, 6), 2.0)), params)
         npt.assert_array_equal(out.data, np.full((1, 6), 3.1))
 
 
-NP_PAD_MODE = {"zero": "constant", "replicate": "edge"}
+NP_PAD_MODE = {"replicate": "edge"}
 
 
 def assert_bitwise(actual, expected):
@@ -126,14 +123,15 @@ def conv1d_np_pad_reference(x, w, b, g, pad_mode):
     length = x.shape[1]
     p = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (p, p)), mode=NP_PAD_MODE[pad_mode])
-    y = np.broadcast_to(b[:, None], (c_out, length)).copy()
+    y = np.zeros((c_out, length))
     for ki in range(k):
-        y += w[:, :, ki] @ xp[:, ki : ki + length]
+        y += np.dot(w[:, :, ki], xp[:, ki : ki + length])
+    y += b[:, None]
     dw = np.empty_like(w)
     dxp = np.zeros_like(xp)
     for ki in range(k):
-        dw[:, :, ki] = g @ xp[:, ki : ki + length].T
-        dxp[:, ki : ki + length] += w[:, :, ki].T @ g
+        dw[:, :, ki] = np.dot(g, xp[:, ki : ki + length].T)
+        dxp[:, ki : ki + length] += np.dot(w[:, :, ki].T, g)
     dx = dxp[:, p : p + length].copy()
     if pad_mode == "replicate" and p > 0:
         dx[:, 0] += dxp[:, :p].sum(axis=1)
@@ -184,7 +182,7 @@ def output_and_grads(y, inputs, rng):
 class TestHandRolledPaddingIsBitwise:
     """The hand-rolled padding reproduces ``np.pad`` and the convolutions built on it."""
 
-    @pytest.mark.parametrize("pad_mode", ["zero", "replicate"])
+    @pytest.mark.parametrize("pad_mode", ["replicate"])
     @pytest.mark.parametrize("shape, n_axes", [((3, 1), 1), ((2, 7), 1), ((1, 1), 2), ((2, 1, 1), 2), ((2, 3, 4), 2)])
     def test_matches_np_pad(self, pad_mode, shape, n_axes):
         x = np.random.default_rng(5).normal(size=shape)
@@ -192,19 +190,19 @@ class TestHandRolledPaddingIsBitwise:
         lead = x.ndim - n_axes
         for pads in product(range(6), repeat=n_axes):
             width = [(0, 0)] * lead + [(p, p) for p in pads]
-            assert_bitwise(_pad(x, pads, pad_mode), np.pad(x, width, mode=NP_PAD_MODE[pad_mode]))
+            assert_bitwise(_pad(x, pads), np.pad(x, width, mode=NP_PAD_MODE[pad_mode]))
 
-    @pytest.mark.parametrize("pad_mode", ["zero", "replicate"])
+    @pytest.mark.parametrize("pad_mode", ["replicate"])
     @pytest.mark.parametrize("k, length", [(1, 4), (3, 1), (3, 6), (5, 2), (7, 5)])
     def test_conv1d(self, pad_mode, k, length):
         rng = np.random.default_rng(k * 10 + length)
         x, p = parameter(rng.normal(size=(3, length))), conv_params(rng.normal(size=(4, 3, k)), rng.normal(size=4))
-        y, g, grads = output_and_grads(conv1d(x, p, pad_mode=pad_mode), [x, p.kernel, p.bias], rng)
+        y, g, grads = output_and_grads(conv1d(x, p), [x, p.kernel, p.bias], rng)
         expected = conv1d_np_pad_reference(x.data, p.kernel.data, p.bias.data, g, pad_mode)
         for actual, want in zip([y] + grads, expected):
             assert_bitwise(actual, want)
 
-    @pytest.mark.parametrize("pad_mode", ["zero", "replicate"])
+    @pytest.mark.parametrize("pad_mode", ["replicate"])
     @pytest.mark.parametrize(
         "kh, kw, stride, dilation, h, w",
         [(3, 3, 1, 1, 5, 6), (3, 3, 2, 1, 6, 5), (3, 3, 1, 4, 3, 3), (3, 3, 2, 4, 3, 3), (1, 1, 1, 1, 4, 4), (5, 3, 2, 2, 7, 4)],
@@ -213,11 +211,47 @@ class TestHandRolledPaddingIsBitwise:
         rng = np.random.default_rng(kh * 1000 + stride * 100 + dilation * 10 + h)
         x = parameter(rng.normal(size=(2, h, w)))
         weight, bias = parameter(rng.normal(size=(3, 2, kh, kw))), parameter(rng.normal(size=3))
-        y = conv2d(x, weight, bias, stride=stride, dilation=dilation, pad_mode=pad_mode)
+        y = conv2d(x, weight, bias, stride=stride, dilation=dilation)
         y, g, grads = output_and_grads(y, [x, weight, bias], rng)
         expected = conv2d_np_pad_reference(x.data, weight.data, bias.data, g, stride, dilation, pad_mode)
         for actual, want in zip([y] + grads, expected):
             assert_bitwise(actual, want)
+
+
+# Each op on (C, L) data, conv2d with the data and kernel given a unit trailing axis.
+CONV_CALLS = {
+    "conv1d": lambda x, w, b: conv1d(tensor(x), conv_params(w, b)),
+    "conv2d": lambda x, w, b: conv2d(tensor(x[..., None]), parameter(w[..., None]), parameter(b)),
+}
+
+
+class TestOneConvKernel:
+    """conv1d and conv2d share one kernel: the same numbers and the same checks."""
+
+    @pytest.mark.parametrize("k, length", [(1, 4), (3, 1), (3, 6), (5, 2), (7, 5)])
+    def test_conv1d_is_conv2d_on_a_unit_axis(self, k, length):
+        rng = np.random.default_rng(k * 10 + length)
+        x, p = parameter(rng.normal(size=(3, length))), conv_params(rng.normal(size=(4, 3, k)), rng.normal(size=4))
+        x2, w2, b2 = parameter(x.data[..., None]), parameter(p.kernel.data[..., None]), parameter(p.bias.data)
+        # equal seeds draw the same output gradient for both shapes
+        one = output_and_grads(conv1d(x, p), [x, p.kernel, p.bias], np.random.default_rng(0))
+        two = output_and_grads(conv2d(x2, w2, b2), [x2, w2, b2], np.random.default_rng(0))
+        for a, b in zip([one[0]] + one[2], [two[0]] + two[2]):
+            assert_bitwise(a, b.reshape(a.shape))
+
+    @pytest.mark.parametrize("op", ["conv1d", "conv2d"])
+    @pytest.mark.parametrize(
+        "kernel, bias, channels, error, message",
+        [
+            ((2, 3, 4), 2, 3, ConfigError, "kernel extents must be odd"),
+            ((2, 3, 3), 2, 4, ShapeError, ": input has 4 channels, kernel expects 3"),
+            ((2, 3, 3), 3, 3, ShapeError, r" bias shape \(3,\) does not match 2 output channels"),
+        ],
+        ids=["even_extent", "channels", "bias"],
+    )
+    def test_checks_fire_for_both_ops(self, op, kernel, bias, channels, error, message):
+        with pytest.raises(error, match=f"^{op}.*{message}"):
+            CONV_CALLS[op](np.zeros((channels, 5)), np.zeros(kernel), np.zeros(bias))
 
 
 class TestPoolWidth:
@@ -465,7 +499,7 @@ class TestPrimitiveGradients:
             t = rng.normal(size=(2, 6))
 
             def f():
-                d = conv1d(x, p, pad_mode="replicate" if rng is None else "zero") - tensor(t)
+                d = conv1d(x, p) - tensor(t)
                 return mul(d, d).mean()
 
             return f, [("x", x), ("kernel", p.kernel), ("bias", p.bias)]
@@ -478,7 +512,7 @@ class TestPrimitiveGradients:
             p = conv_params(rng.normal(size=(2, 2, 3)), rng.normal(size=2))
 
             def f():
-                return conv1d(x, p, pad_mode="replicate").mean()
+                return conv1d(x, p).mean()
 
             return f, [("x", x), ("kernel", p.kernel), ("bias", p.bias)]
 
