@@ -75,8 +75,8 @@ def synth_banded(
         raise ConfigError(f"need at least 3 classes, got {num_classes}")
     if num_classes > height:
         raise ConfigError(f"{num_classes} classes cannot fit {height} rows")
-    if noise < 0:
-        raise ConfigError(f"noise must be >= 0, got {noise}")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ConfigError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     jitter_rows = int(round(noise * height / (2 * num_classes)))
     sigma = 0.12 * noise

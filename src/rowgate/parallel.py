@@ -12,8 +12,9 @@ fork-safe, and side effects of its calls stay in the process that made
 them: batch-norm running statistics, for example, see only this
 process's share of the jobs.  Fewer than ``min_jobs`` jobs, processes
 with more than one thread (a worker could inherit a lock another thread
-holds), the workers themselves (no nested forks) and platforms without
-``fork`` stay in-process.
+holds), the workers themselves and this process while it runs its own
+chunk beside them (no nested forks: every CPU is already busy) and
+platforms without ``fork`` stay in-process.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import threading
 from typing import Callable, Iterator, Sequence
 
 _MISSING = object()  # a result no worker delivered
-_in_worker = False  # set in forked workers, so they never fork again
+_in_worker = False  # set in forked workers, and here while chunk 0 runs beside them
 
 
 def _chunks(n: int, min_jobs: int) -> list[tuple[int, int]]:
@@ -70,6 +71,7 @@ def fork_map(fn: Callable, jobs: Sequence, min_jobs: int) -> Iterator:
     and stops at its first exception; the returned iterator computes
     each result that no process delivered when it reaches it.
     """
+    global _in_worker
     results = [_MISSING] * len(jobs)
     workers = []  # (pid, read end, lo, hi) of each worker not yet reaped, in chunk order
     try:
@@ -79,11 +81,14 @@ def fork_map(fn: Callable, jobs: Sequence, min_jobs: int) -> Iterator:
                 workers.append((*_spawn(fn, jobs[lo:hi]), lo, hi))
             except OSError:
                 break
+        outer, _in_worker = _in_worker, True
         try:
             for j in range(*chunks[0]) if workers else ():
                 results[j] = fn(jobs[j])
         except Exception:
             pass  # the iterator re-runs this job in order and raises there
+        finally:
+            _in_worker = outer
         while workers:
             pid, r, lo, hi = workers[0]
             with open(r, "rb", closefd=False) as pipe:

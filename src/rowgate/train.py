@@ -1,4 +1,21 @@
-"""Training loop: SGD with momentum, polynomial LR decay, grouped weight decay."""
+"""Training loop: SGD with momentum, polynomial LR decay, grouped weight decay.
+
+Each step draws its sample indices from the caller's generator and then
+spawns one child generator per image from it (``Generator.spawn``,
+numpy's way to make independent streams for parallel work).  Image j's
+flip, crop, dropout and positional jitter draw only from child j, and
+batch norm is per image, so an image's loss, gradients and batch
+statistics are a function of the weights, its sample and its stream
+alone.  The images of a step are therefore fanned out by ``fork_map``:
+each job backpropagates its ``loss / batch_size`` and returns its loss,
+its parameter gradients and what its forward pass added to the
+batch-norm running buffers, which it starts from zero, so they hold
+exactly ``m * mean`` and ``m * var``.  The caller then adds the
+gradients into ``p.grad`` and folds each contribution into the real
+buffers with batch_norm1d's own two steps, ``r *= 1 - m; r += c``, image
+by image in batch order, so a step is bitwise the same for any worker
+count.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +28,8 @@ from .data import Sample, augment
 from .errors import ConfigError, DivergenceError
 from .net import ToySegModel
 from .optim import ParamGroup, SGDMomentum, poly_lr
-from .tensor import scale, softmax_cross_entropy
+from .parallel import fork_map
+from .tensor import BN_MOMENTUM, scale, softmax_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -29,12 +47,15 @@ class TrainConfig:
         if self.max_iteration < 0:
             raise ConfigError(f"max_iteration must be >= 0, got {self.max_iteration}")
         for name in ("base_lr", "momentum", "weight_decay_main", "weight_decay_attn"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if not 0 < self.power <= 1:
             raise ConfigError(f"power must be in (0, 1], got {self.power}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if min(self.crop) < 1:
+            raise ConfigError(f"crop extents must be >= 1, got {self.crop[0]}x{self.crop[1]}")
 
 
 @dataclass
@@ -75,25 +96,60 @@ def train(
 ) -> TrainLog:
     """Run the configured number of iterations; deterministic given ``rng``.
 
-    Gradients are averaged over the mini-batch in a fixed order.  A
+    The images of each step run through ``fork_map``, and their gradients
+    and batch-norm contributions are summed in batch order, so the result
+    does not depend on the worker count.  A step that raises leaves every
+    ``p.grad`` at None and the running buffers as they were before it.  A
     non-finite batch loss aborts with a ``DivergenceError`` naming the
     iteration and learning rate.
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
     optimizer = make_optimizer(model, config)
+    params = [p for _, p in model.named_parameters()]
+    norms = [norm for _, gate in model.gates.values() for norm in (gate.norm1, gate.norm2)]
+
+    def image_step(job):
+        """One image's loss, parameter gradients and running-buffer contributions.
+
+        Leaves every ``p.grad`` at None and zeroed running buffers in the
+        model; the caller puts the real buffers back.
+        """
+        index, image_rng = job
+        for norm in norms:
+            norm.running_mean = np.zeros_like(norm.running_mean)
+            norm.running_var = np.zeros_like(norm.running_var)
+        try:
+            image, label = augment(dataset[index], config.crop, image_rng)
+            loss = softmax_cross_entropy(model.forward(image, training=True, rng=image_rng), label)
+            scale(loss, 1.0 / config.batch_size).backward()
+            return loss.item(), [p.grad for p in params], [(n.running_mean, n.running_var) for n in norms]
+        finally:
+            for p in params:
+                p.grad = None
+
     log = TrainLog()
     for iteration in range(config.max_iteration):
         lr = poly_lr(iteration, config.base_lr, config.max_iteration, config.power)
         optimizer.zero_grad()
         indices = rng.integers(0, len(dataset), size=config.batch_size)
+        jobs = list(zip(indices.tolist(), rng.spawn(config.batch_size)))
+        buffers = [(n.running_mean, n.running_var) for n in norms]
+        try:
+            results = list(fork_map(image_step, jobs, 2))
+        finally:
+            for norm, (mean, var) in zip(norms, buffers):
+                norm.running_mean, norm.running_var = mean, var
         batch_loss = 0.0
-        for i in indices:
-            image, label = augment(dataset[int(i)], config.crop, rng)
-            logits = model.forward(image, training=True, rng=rng)
-            loss = softmax_cross_entropy(logits, label)
-            batch_loss += loss.item() / config.batch_size
-            scale(loss, 1.0 / config.batch_size).backward()
+        for loss, grads, contributions in results:
+            batch_loss += loss / config.batch_size
+            for p, g in zip(params, grads):
+                if g is not None:
+                    p.accumulate_grad(g)
+            for (mean, var), (c_mean, c_var) in zip(buffers, contributions):
+                for r, c in ((mean, c_mean), (var, c_var)):
+                    r *= 1.0 - BN_MOMENTUM
+                    r += c
         if not np.isfinite(batch_loss):
             raise DivergenceError(
                 f"non-finite loss {batch_loss} at iteration {iteration} (lr={lr:g})"

@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The training-based
 criteria (5, 7, 8) share one module-scoped fixture that trains all nine
-of their runs, about 8 minutes of CPU spread over the usable CPUs
-(4.5 minutes on two); the whole suite needs roughly 10 minutes of CPU.
+of their runs, about 7.5 minutes of CPU spread over the usable CPUs
+(4 minutes on two); the whole suite needs roughly 10 minutes of CPU.
 Criterion 6 runs only when
 ``ROWGATE_CITYSCAPES_DIR`` points at a directory of *labelTrainIds*
 rasters and is skipped otherwise.

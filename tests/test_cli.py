@@ -214,6 +214,18 @@ def test_io_failure_exits_1_with_one_line(break_input, tmp_path, capsys):
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("setting", [
+    "train.crop=0x0", "train.crop=-4x8", "train.lr=nan", "train.lr=inf", "train.momentum=nan",
+    "train.weight_decay_main=nan", "data.noise=nan", "data.noise=inf",
+])
+def test_bad_training_setting_exits_1_with_one_line(setting, tmp_path, capsys):
+    code = main(["train", "--out", str(tmp_path / "run"), *FAST_MODEL, "--set", setting])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert setting.split("=")[1] in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")

@@ -1,19 +1,21 @@
 """The fork-map helper, and the evaluation and training that run through it."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 
 from rowgate.attention import GateSettings
-from rowgate.data import Sample, synth_banded
-from rowgate.errors import NumericalError, ShapeError
+from rowgate.data import Sample, augment, synth_banded
+from rowgate.errors import DivergenceError, NumericalError, ShapeError
 from rowgate.gradcheck import gradcheck
 from rowgate.metrics import evaluate
 from rowgate.net import ToySegConfig, ToySegModel
+from rowgate.optim import poly_lr
 from rowgate.parallel import fork_map
-from rowgate.tensor import mul, parameter, tensor
-from rowgate.train import TrainConfig, train
+from rowgate.tensor import mul, parameter, scale, softmax_cross_entropy, tensor
+from rowgate.train import TrainConfig, make_optimizer, train
 from test_gradcheck import force_workers
 
 
@@ -71,7 +73,7 @@ class TestForkMap:
         assert list(fork_map(lambda j: os.getpid(), [0, 0, 0], 4)) == [os.getpid()] * 3
         assert forks == []
 
-    def test_a_worker_does_not_fork_again(self, monkeypatch):
+    def test_a_job_never_forks_again(self, monkeypatch):
         forks = force_workers(monkeypatch, 2)
 
         def nested(job):
@@ -80,7 +82,7 @@ class TestForkMap:
             return os.getpid(), len(forks) - before, inner
 
         (caller, caller_forks, _), (worker, worker_forks, inner) = fork_map(nested, [0, 1], 2)
-        assert caller == os.getpid() and caller_forks == 1
+        assert caller == os.getpid() and caller_forks == 0
         assert worker != os.getpid() and worker_forks == 0 and inner == [2, 4, 6, 8]
         no_child_left()
 
@@ -169,3 +171,88 @@ class TestParallelEvaluate:
             no_child_left()
         assert messages[1] == messages[0]
         assert messages[0].startswith("prediction (16, 16) vs label (8, 16)")
+
+
+def state_bits(model):
+    return [(name, a.tobytes()) for name, a in model.state_arrays()]
+
+
+def one_image_at_a_time(model, data, config, rng):
+    """Train in process, each image backpropagated straight into p.grad, on train's per-image streams."""
+    optimizer = make_optimizer(model, config)
+    for iteration in range(config.max_iteration):
+        optimizer.zero_grad()
+        indices = rng.integers(0, len(data), size=config.batch_size)
+        for i, image_rng in zip(indices, rng.spawn(config.batch_size)):
+            image, label = augment(data[int(i)], config.crop, image_rng)
+            loss = softmax_cross_entropy(model.forward(image, training=True, rng=image_rng), label)
+            scale(loss, 1.0 / config.batch_size).backward()
+        optimizer.step(poly_lr(iteration, config.base_lr, config.max_iteration, config.power))
+
+
+class TestParallelTrain:
+    @pytest.mark.parametrize("batch", [3, 4])
+    def test_training_is_bitwise_the_same_for_any_worker_count(self, monkeypatch, batch):
+        data = synth_banded(seed=6, n_images=5, height=16, width=16)
+        config = TrainConfig(max_iteration=3, batch_size=batch, crop=(16, 16))
+        runs = []
+        for n in (1, 2, 3):
+            forks = force_workers(monkeypatch, n)
+            model = small_model()
+            log = train(model, data, config, np.random.default_rng(9))
+            runs.append((state_bits(model), [v.hex() for v in log.losses]))
+            assert len(forks) == (n - 1) * config.max_iteration
+            no_child_left()
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        force_workers(monkeypatch, 1)
+        reference = small_model()
+        one_image_at_a_time(reference, data, config, np.random.default_rng(9))
+        assert state_bits(reference) == runs[0][0]  # running statistics included
+        assert state_bits(small_model()) != runs[0][0]
+
+    def test_one_image_does_not_fork(self, monkeypatch):
+        forks = force_workers(monkeypatch, 3)
+        train(small_model(), synth_banded(seed=6, n_images=2, height=16, width=16),
+              TrainConfig(max_iteration=2, batch_size=1, crop=(16, 16)), np.random.default_rng(0))
+        assert forks == []
+
+    @pytest.mark.parametrize("bad", [(0, 2), (1, 3), (3,)], ids=["callers_chunk", "middle", "last"])
+    def test_a_failing_sample_raises_the_sequential_error(self, monkeypatch, bad):
+        # three workers take batch positions [0], [1] and [2, 3]; the first bad
+        # position has a two-channel image, a later one a label too short to crop
+        data = synth_banded(seed=6, n_images=16, height=16, width=16)
+        indices = np.random.default_rng(4).integers(0, len(data), size=4)
+        assert len(set(indices)) == 4
+        for pos in bad:
+            sample = data[indices[pos]]
+            data[indices[pos]] = (Sample(image=sample.image[:2], label=sample.label) if pos == bad[0]
+                                  else Sample(image=sample.image, label=sample.label[:8]))
+        messages = []
+        for n in (1, 3):
+            forks = force_workers(monkeypatch, n)
+            model = small_model()
+            before = [(name, a, a.copy()) for name, a in model.state_arrays()]
+            with pytest.raises(ShapeError) as exc:
+                train(model, data, TrainConfig(max_iteration=2, batch_size=4, crop=(16, 16)),
+                      np.random.default_rng(4))
+            messages.append(str(exc.value))
+            assert len(forks) == n - 1
+            assert all(p.grad is None for _, p in model.named_parameters())
+            for (name, a, copy), (_, now) in zip(before, model.state_arrays()):
+                assert now is a and now.tobytes() == copy.tobytes(), name
+            no_child_left()
+        assert messages == ["expected (3, H, W) input, got (2, 16, 16)"] * 2
+
+    def test_divergence_message_is_unchanged(self, monkeypatch):
+        data = synth_banded(seed=6, n_images=4, height=16, width=16)
+        messages = []
+        for n in (1, 2):
+            force_workers(monkeypatch, n)
+            with pytest.raises(DivergenceError) as exc:
+                train(small_model(), data, TrainConfig(max_iteration=50, base_lr=1e6, batch_size=2,
+                                                       crop=(16, 16)), np.random.default_rng(0))
+            messages.append(str(exc.value))
+            no_child_left()
+        assert messages[1] == messages[0]
+        it = int(re.fullmatch(r"non-finite loss nan at iteration (\d+) \(lr=.*\)", messages[0]).group(1))
+        assert messages[0] == f"non-finite loss nan at iteration {it} (lr={poly_lr(it, 1e6, 50, 0.9):g})"
