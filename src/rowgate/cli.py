@@ -4,9 +4,10 @@ Subcommands: ``stats`` (label-raster distribution/entropy reports),
 ``gradcheck`` (finite-difference verification suite), ``train`` /
 ``eval`` (toy segmentation runs), ``attn`` (attention-map dumps), and
 ``synth`` (materialize a banded dataset).  Every run resolves one
-key=value configuration, logs it, and derives all randomness from its
-single seed.  Exit codes: 0 success, 1 validation or data error, 2
-numerical failure.
+key=value configuration and logs it as ``resolved.cfg``; no other flag
+changes a run setting, so ``--config <run>/resolved.cfg`` repeats the
+run.  Synthetic data draws from ``data.seed``, the rest from ``seed``.
+Exit codes: 0 success, 1 validation or data error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -80,16 +81,16 @@ def cmd_stats(args) -> int:
     (out / "report.txt").write_text(text + "\n")
     write_csv_rows(out / "report.csv", statsmod.report_to_csv_rows(report))
 
+    dists = {axis: statsmod.axis_distribution(label_maps, args.classes, axis=axis, bins=args.bins)
+             for axis in ("height", "width")}
     axis = "height" if args.axis == "h" else "width"
-    per_bin, per_class = statsmod.axis_distribution(label_maps, args.classes, axis=axis, bins=args.bins)
+    per_bin, per_class = dists[axis]
     write_matrix_csv(out / f"{axis}_distribution.csv", per_bin)
     write_heatmap_pgm(out / f"{axis}_distribution.pgm", per_bin)
     write_matrix_csv(out / f"{axis}_distribution_per_class.csv", per_class)
     write_heatmap_pgm(out / f"{axis}_distribution_per_class.pgm", per_class)
 
-    h_bin, _ = statsmod.axis_distribution(label_maps, args.classes, axis="height", bins=args.bins)
-    w_bin, _ = statsmod.axis_distribution(label_maps, args.classes, axis="width", bins=args.bins)
-    h_spread, w_spread = statsmod.distribution_divergence(h_bin, w_bin)
+    h_spread, w_spread = statsmod.distribution_divergence(dists["height"][0], dists["width"][0])
     summary = (
         f"unconditional_entropy={report.unconditional_entropy:.6g}\n"
         f"average_conditional_entropy={report.average_conditional_entropy:.6g}\n"
@@ -107,11 +108,10 @@ def cmd_stats(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     values = _resolve_and_log(args, Path(args.out) if args.out else None)
-    eps = args.epsilon if args.epsilon is not None else cfgmod.get_float(values, "gradcheck.epsilon")
     text, ok = gradcheck.suite(
-        cfgmod.get_int(values, "seed"),
+        cfgmod.get_seed(values, "seed"),
         cfgmod.build_gate_settings(values),
-        eps=eps,
+        eps=cfgmod.get_float(values, "gradcheck.epsilon"),
         tol=cfgmod.get_float(values, "gradcheck.tolerance"),
         model_tol=cfgmod.get_float(values, "gradcheck.model_tolerance"),
     )
@@ -126,40 +126,41 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dataset_from_config(values: dict[str, str], split: str) -> list[Sample]:
-    if values["data.source"] == "dir":
-        root = Path(values["data.dir"]) / split
-        images = sorted((root / "images").glob("*.ppm"))
-        if not images:
-            raise RowGateError(f"{root}/images: no .ppm images found")
-        samples = []
-        for img_path in images:
-            label_path = root / "labels" / (img_path.stem + ".pgm")
-            image = read_ppm(img_path).astype(np.float64) / 255.0
-            label = read_label_map(label_path).ids.astype(np.uint8)
-            samples.append(Sample(image=image, label=label))
-        return samples
-    if values["data.source"] != "synth":
-        raise RowGateError(f"data.source must be synth or dir, got {values['data.source']!r}")
-    data_seed = cfgmod.get_int(values, "data.seed")
-    n = cfgmod.get_int(values, "data.n_train" if split == "train" else "data.n_val")
+def _synth_split(values: dict[str, str], split: str) -> list[Sample]:
     # disjoint seed streams per split
-    seed = data_seed * 2 + (0 if split == "train" else 1)
+    seed = cfgmod.get_seed(values, "data.seed") * 2 + (0 if split == "train" else 1)
     return synth_banded(
         seed=seed,
-        n_images=n,
+        n_images=cfgmod.get_int(values, "data.n_train" if split == "train" else "data.n_val"),
         height=cfgmod.get_int(values, "data.height"),
         width=cfgmod.get_int(values, "data.width"),
-        num_classes=cfgmod.get_int(values, "data.classes"),
+        num_classes=cfgmod.get_int(values, "model.num_classes"),
         noise=cfgmod.get_float(values, "data.noise"),
     )
 
 
+def _dataset_from_config(values: dict[str, str], split: str) -> list[Sample]:
+    """``data.dir``'s split if it is set, else the synthetic split."""
+    if not values["data.dir"]:
+        return _synth_split(values, split)
+    root = Path(values["data.dir"]) / split
+    images = sorted((root / "images").glob("*.ppm"))
+    if not images:
+        raise RowGateError(f"{root}/images: no .ppm images found")
+    samples = []
+    for img_path in images:
+        label_path = root / "labels" / (img_path.stem + ".pgm")
+        image = read_ppm(img_path).astype(np.float64) / 255.0
+        label = read_label_map(label_path).ids.astype(np.uint8)
+        samples.append(Sample(image=image, label=label))
+    return samples
+
+
 def cmd_synth(args) -> int:
-    values = _resolve_and_log(args, Path(args.out))
     out = Path(args.out)
+    values = _resolve_and_log(args, out)
     for split in ("train", "val"):
-        samples = _dataset_from_config({**values, "data.source": "synth"}, split)
+        samples = _synth_split(values, split)
         img_dir = out / split / "images"
         lab_dir = out / split / "labels"
         img_dir.mkdir(parents=True, exist_ok=True)
@@ -177,38 +178,35 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eval_report_text(report) -> str:
+def _evaluate_to(out: Path, model: ToySegModel, val_set: list[Sample]) -> None:
+    """Evaluate on ``val_set``; print the report and write it to ``out/eval.txt``."""
+    report = evaluate(model, val_set)
     per_region = " ".join(f"{v:.6f}" for v in report.per_region_miou)
-    per_class = " ".join(
-        "nan" if np.isnan(v) else f"{v:.6f}" for v in report.per_class_iou
-    )
-    return (
+    per_class = " ".join(f"{v:.6f}" for v in report.per_class_iou)  # nan prints as nan
+    text = (
         f"miou={report.miou:.6f}\n"
         f"pixel_accuracy={report.pixel_accuracy:.6f}\n"
         f"per_region_miou={per_region}\n"
         f"per_class_iou={per_class}\n"
     )
+    print(text, end="")
+    (out / "eval.txt").write_text(text)
 
 
 def cmd_train(args) -> int:
     out = Path(args.out)
     values = _resolve_and_log(args, out)
-    if args.data:
-        values = {**values, "data.source": "dir", "data.dir": args.data}
     model_cfg = cfgmod.build_model_config(values)
     train_cfg = cfgmod.build_train_config(values)
     model = ToySegModel.build(model_cfg)
     train_set = _dataset_from_config(values, "train")
     val_set = _dataset_from_config(values, "val")
-    train_rng = np.random.default_rng(np.random.SeedSequence(cfgmod.get_int(values, "seed")).spawn(1)[0])
+    train_rng = np.random.default_rng(np.random.SeedSequence(model_cfg.seed).spawn(1)[0])
 
     log = train(model, train_set, train_cfg, train_rng)
     log.to_csv(out / "train_log.csv")
     save_checkpoint(out / "model.ckpt", model.state_arrays(), cfgmod.render_model(values))
-    report = evaluate(model, val_set)
-    text = _eval_report_text(report)
-    print(text, end="")
-    (out / "eval.txt").write_text(text)
+    _evaluate_to(out, model, val_set)
     return EXIT_OK
 
 
@@ -222,14 +220,8 @@ def _load_model(values: dict[str, str], checkpoint_path) -> ToySegModel:
 def cmd_eval(args) -> int:
     out = Path(args.out)
     values = _resolve_and_log(args, out)
-    if args.data:
-        values = {**values, "data.source": "dir", "data.dir": args.data}
     model = _load_model(values, args.checkpoint)
-    val_set = _dataset_from_config(values, "val")
-    report = evaluate(model, val_set)
-    text = _eval_report_text(report)
-    print(text, end="")
-    (out / "eval.txt").write_text(text)
+    _evaluate_to(out, model, _dataset_from_config(values, "val"))
     return EXIT_OK
 
 
@@ -276,12 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rowgate", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p, with_out=True):
+    def add_config_flags(p, out_required=True):
         p.add_argument("--config", type=Path, default=None, help="key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-        if with_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=out_required, help="output directory")
 
     p = sub.add_parser("stats", help="label-raster class distribution and entropy report")
     p.add_argument("label_dir", help="directory of .pgm/.png label rasters")
@@ -293,19 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification suite")
-    add_config_flags(p, with_out=False)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--out", default=None)
+    add_config_flags(p, out_required=False)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("train", help="train the toy segmentation model")
     add_config_flags(p)
-    p.add_argument("--data", default=None, help="dataset directory (PPM/PGM splits)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     add_config_flags(p)
-    p.add_argument("--data", default=None, help="dataset directory (PPM/PGM splits)")
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=cmd_eval)
 

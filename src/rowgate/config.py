@@ -1,10 +1,11 @@
 """Plain key=value run configuration.
 
 One ``key=value`` per line, ``#`` comments, flag overrides on top of
-file values, unknown keys rejected.  ``render`` emits a canonical sorted
-form that re-parses to the identical mapping; ``render_model`` renders
-only the keys that shape the model, the text checkpoint digests are
-computed from.
+file values, unknown keys rejected; ``resolve`` is the one way a run
+setting gets in, and no key restates another.  ``render`` emits a
+canonical sorted form that re-parses to the identical mapping;
+``render_model`` renders only the keys that shape the model, the text
+checkpoint digests are computed from.
 """
 
 from __future__ import annotations
@@ -46,14 +47,12 @@ DEFAULTS: dict[str, str] = {
     "train.power": "0.9",
     "train.batch_size": "4",
     "train.crop": "96x48",
-    "data.source": "synth",
-    "data.dir": "",
+    "data.dir": "",  # empty: synthesize data.* images of model.num_classes classes
     "data.seed": "0",
     "data.n_train": "200",
     "data.n_val": "50",
     "data.height": "96",
     "data.width": "48",
-    "data.classes": "6",
     "data.noise": "0.5",
     "gradcheck.epsilon": "1e-5",
     "gradcheck.tolerance": "1e-4",
@@ -129,6 +128,13 @@ def get_int(values: dict[str, str], key: str) -> int:
         raise ConfigError(f"{key}: expected integer, got {values[key]!r}") from exc
 
 
+def get_seed(values: dict[str, str], key: str) -> int:
+    seed = get_int(values, key)
+    if seed < 0:
+        raise ConfigError(f"{key}: expected a non-negative integer, got {values[key]!r}")
+    return seed
+
+
 def get_float(values: dict[str, str], key: str) -> float:
     try:
         return float(values[key])
@@ -166,7 +172,7 @@ def build_model_config(values: dict[str, str]) -> ToySegConfig:
         widths=widths,  # type: ignore[arg-type]
         gate_layers=get_int_set(values, "model.gate_layers"),
         gate=build_gate_settings(values),
-        seed=get_int(values, "seed"),
+        seed=get_seed(values, "seed"),
     )
 
 

@@ -71,6 +71,8 @@ def synth_banded(
     noise: float = 0.5,
 ) -> list[Sample]:
     """Generate a banded dataset; identical arguments give identical data."""
+    if n_images < 1:
+        raise ConfigError(f"need at least 1 image, got {n_images}")
     if num_classes < 3:
         raise ConfigError(f"need at least 3 classes, got {num_classes}")
     if num_classes > height:

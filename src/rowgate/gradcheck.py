@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import attention as attn
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .net import GATE_SITES, ToySegConfig, ToySegModel
 from .parallel import fork_map
 from .tensor import Tensor, parameter, relu_input_margin, softmax_cross_entropy, tensor, zero_grads
@@ -118,10 +118,13 @@ def gradcheck(
 
     ``params`` is a sequence of (name, tensor) pairs; each tensor's data is
     perturbed in place and restored, and its grad is None afterwards.
-    Raises ``NumericalError`` when the loss is non-finite or non-scalar.
+    Raises ``NumericalError`` for a non-finite or non-scalar loss or an
+    ``eps`` outside [1e-7, 1e-3], ``ConfigError`` unless ``tol`` is finite and > 0.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise NumericalError(f"gradcheck epsilon {eps:g} outside [1e-7, 1e-3]")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"gradcheck tolerance must be finite and > 0, got {tol:g}")
     tensors = [t for _, t in params]
     zero_grads(tensors)
     try:

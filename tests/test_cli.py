@@ -9,7 +9,7 @@ import pytest
 
 from rowgate.attention import GateSettings
 from rowgate.cli import main
-from rowgate.config import DEFAULTS, build_model_config, parse_config_text, render, resolve
+from rowgate.config import DEFAULTS, build_model_config, parse_config_text, render, render_model, resolve
 from rowgate.data import synth_banded
 from rowgate.errors import ConfigError
 from rowgate.rasters import read_pgm, write_pgm, write_ppm
@@ -18,7 +18,7 @@ FAST_MODEL = [
     "--set", "model.widths=4,6,6", "--set", "model.num_classes=4",
     "--set", "gate.coarse_height=2", "--set", "gate.reduction=2",
     "--set", "data.height=16", "--set", "data.width=16",
-    "--set", "data.classes=4", "--set", "data.n_train=6", "--set", "data.n_val=3",
+    "--set", "data.n_train=6", "--set", "data.n_val=3",
     "--set", "train.max_iteration=5", "--set", "train.batch_size=2",
     "--set", "train.crop=16x16",
 ]
@@ -60,6 +60,16 @@ class TestConfigResolution:
             "gate.pe": "sinusoidal", "gate.pe_layer": "2", "gate.jitter": "2",
             "gate.dropout": "0.1",
         }
+
+    def test_default_model_text_is_pinned(self):
+        # checkpoint digests cover this text, so existing checkpoints load only if it holds
+        assert render_model(resolve(None)) == (
+            "# resolved run configuration\n"
+            "gate.coarse_height=8\ngate.dropout=0.1\ngate.jitter=2\ngate.pe=sinusoidal\n"
+            "gate.pe_layer=2\ngate.pool=avg\ngate.reduction=2\n"
+            "model.gate_layers=1,2,3,4\nmodel.in_channels=3\nmodel.num_classes=6\n"
+            "model.widths=16,32,32\nseed=0\n"
+        )
 
     def test_gate_settings_checked_without_gate_layers(self):
         with pytest.raises(ConfigError):
@@ -145,7 +155,7 @@ class TestGradcheckCommand:
         assert capsys.readouterr().out == default_gradcheck[1]
 
     def test_oversized_epsilon_is_a_numerical_failure(self, capsys):
-        assert main(["gradcheck", "--epsilon", "1e-1"]) == 2
+        assert main(["gradcheck", "--set", "gradcheck.epsilon=1e-1"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
 
@@ -153,11 +163,11 @@ class TestGradcheckCommand:
     ([], 1),
     (["bogus"], 1),
     (["stats"], 1),
-    (["gradcheck", "--epsilon", "abc"], 1),
+    (["gradcheck", "--epsilon", "1e-6"], 1),
     (["train", "--set"], 1),
     (["--help"], 0),
     (["gradcheck", "--help"], 0),
-], ids=["no_command", "unknown_command", "stats_no_args", "epsilon_not_a_float", "set_no_value",
+], ids=["no_command", "unknown_command", "stats_no_args", "epsilon_flag", "set_no_value",
         "help", "gradcheck_help"])
 def test_usage_errors_exit_1_with_one_line(argv, code, capsys):
     try:
@@ -189,14 +199,14 @@ def config_not_utf8(tmp):
 
 def label_missing(tmp):
     (tmp / "data" / "val" / "labels" / "00000.pgm").unlink()
-    return ["--data", str(tmp / "data")], "00000.pgm"
+    return ["--set", f"data.dir={tmp / 'data'}"], "00000.pgm"
 
 
 def image_unreadable(tmp):
     image = tmp / "data" / "train" / "images" / "00001.ppm"
     image.unlink()
     image.mkdir()
-    return ["--data", str(tmp / "data")], "00001.ppm"
+    return ["--set", f"data.dir={tmp / 'data'}"], "00001.ppm"
 
 
 @pytest.mark.parametrize(
@@ -224,6 +234,42 @@ def test_bad_training_setting_exits_1_with_one_line(setting, tmp_path, capsys):
     assert code == 1
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert setting.split("=")[1] in err and "Traceback" not in err
+
+
+# Each sets a run setting only through --set, or tries a flag or key that is
+# gone; the error line must name the culprit.
+@pytest.mark.parametrize("argv, named", [
+    (["train", "--set", "data.source=dir"], "data.source"),
+    (["train", "--set", "data.classes=4"], "data.classes"),
+    (["train", "--data", "X"], "--data"),
+    (["gradcheck", "--epsilon", "1e-6"], "--epsilon"),
+    (["train", "--set", "seed=-1"], "seed"),
+    (["train", "--set", "data.seed=-1"], "data.seed"),
+    (["gradcheck", "--set", "seed=-1"], "seed"),
+    (["train", "--set", "data.n_val=0"], "image"),
+    (["gradcheck", "--set", "gradcheck.tolerance=nan"], "tolerance"),
+    (["gradcheck", "--set", "gradcheck.epsilon=abc"], "abc"),
+], ids=["data_source_key", "data_classes_key", "data_flag", "epsilon_flag", "negative_seed",
+        "negative_data_seed", "negative_gradcheck_seed", "empty_val_split", "tolerance_nan",
+        "epsilon_not_a_float"])
+def test_bad_run_setting_exits_1_with_one_line(argv, named, tmp_path, capsys):
+    if argv[0] == "train":
+        argv = ["train", "--out", str(tmp_path / "run"), *FAST_MODEL, *argv[1:]]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert named in err and "Traceback" not in err
+
+
+def test_resolved_config_repeats_a_directory_run(tmp_path):
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--out", str(data_dir), *FAST_MODEL]) == 0
+    first, again = tmp_path / "run", tmp_path / "again"
+    assert main(["train", "--out", str(first), "--set", f"data.dir={data_dir}", *FAST_MODEL]) == 0
+    assert main(["train", "--out", str(again), "--config", str(first / "resolved.cfg")]) == 0
+    for name in ("model.ckpt", "eval.txt"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -351,5 +397,5 @@ class TestSynthCommand:
         data_dir = tmp_path / "data"
         assert main(["synth", "--out", str(data_dir), *FAST_MODEL]) == 0
         out = tmp_path / "run"
-        assert main(["train", "--out", str(out), "--data", str(data_dir), *FAST_MODEL]) == 0
+        assert main(["train", "--out", str(out), "--set", f"data.dir={data_dir}", *FAST_MODEL]) == 0
         assert (out / "model.ckpt").exists()

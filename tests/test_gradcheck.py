@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rowgate import attention as attn
-from rowgate.errors import NumericalError
+from rowgate.errors import ConfigError, NumericalError
 from rowgate.gradcheck import MAX_DRAWS, Case, draw_clear, gate_case, gradcheck
 from rowgate.tensor import Tensor, mul, parameter, relu, tensor
 
@@ -47,6 +47,12 @@ class TestGradcheckHarness:
             gradcheck(f, [("theta", theta)], eps=1e-1)
         with pytest.raises(NumericalError):
             gradcheck(f, [("theta", theta)], eps=1e-8)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-4])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        theta = parameter(np.array([1.0]))
+        with pytest.raises(ConfigError):
+            gradcheck(lambda: mul(theta, theta).sum(), [("theta", theta)], tol=tol)
 
     def test_truncation_error_grows_with_epsilon(self):
         # cubic f: central differences carry an eps^2 f''' / 6 bias, which is
