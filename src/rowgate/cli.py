@@ -30,6 +30,7 @@ from .rasters import (
     load_label_dir,
     read_label_map,
     read_ppm,
+    unit_to_u8,
     write_attention_csv,
     write_attention_pgm,
     write_csv_rows,
@@ -38,6 +39,7 @@ from .rasters import (
     write_pgm,
     write_ppm,
 )
+from .tensor import no_grad
 from .train import train
 
 EXIT_OK = 0
@@ -112,8 +114,8 @@ def cmd_gradcheck(args) -> int:
         cfgmod.get_seed(values, "seed"),
         cfgmod.build_gate_settings(values),
         eps=cfgmod.get_float(values, "gradcheck.epsilon"),
-        tol=cfgmod.get_float(values, "gradcheck.tolerance"),
-        model_tol=cfgmod.get_float(values, "gradcheck.model_tolerance"),
+        tol=cfgmod.get_positive(values, "gradcheck.tolerance"),
+        model_tol=cfgmod.get_positive(values, "gradcheck.model_tolerance"),
     )
     print(text)
     if args.out:
@@ -166,8 +168,7 @@ def cmd_synth(args) -> int:
         img_dir.mkdir(parents=True, exist_ok=True)
         lab_dir.mkdir(parents=True, exist_ok=True)
         for i, sample in enumerate(samples):
-            u8 = np.clip(np.rint(sample.image * 255.0), 0, 255).astype(np.uint8)
-            write_ppm(img_dir / f"{i:05d}.ppm", u8)
+            write_ppm(img_dir / f"{i:05d}.ppm", unit_to_u8(sample.image))
             write_pgm(lab_dir / f"{i:05d}.pgm", sample.label)
         print(f"wrote {len(samples)} {split} samples under {out / split}")
     return EXIT_OK
@@ -234,7 +235,8 @@ def cmd_attn(args) -> int:
         if site not in model.gates:
             raise RowGateError(f"layer L{site} has no gate in this model")
     image = read_ppm(args.image).astype(np.float64) / 255.0
-    _, maps = model.forward(image, training=False, collect_attention=True)
+    with no_grad():
+        _, maps = model.forward(image, training=False, collect_attention=True)
     for site in sites:
         amap = maps[site]
         write_attention_csv(out / f"attention_L{site}.csv", amap)

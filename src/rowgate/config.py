@@ -10,6 +10,7 @@ checkpoint digests are computed from.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .attention import GateSettings
@@ -140,6 +141,13 @@ def get_float(values: dict[str, str], key: str) -> float:
         return float(values[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: expected number, got {values[key]!r}") from exc
+
+
+def get_positive(values: dict[str, str], key: str) -> float:
+    value = get_float(values, key)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{key}: expected a finite number > 0, got {values[key]!r}")
+    return value
 
 
 def get_int_set(values: dict[str, str], key: str) -> frozenset[int]:

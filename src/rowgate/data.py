@@ -40,7 +40,7 @@ class Sample:
     label: np.ndarray  # (H, W) uint8
 
 
-def texture_group(class_id: int, num_classes: int) -> int:
+def texture_group(class_id: int) -> int:
     """Same-parity classes share one texture (the confusable groups)."""
     return class_id % 2
 
@@ -93,7 +93,7 @@ def synth_banded(
         for k in range(num_classes):
             top, bottom = edges[k], edges[k + 1]
             label[top:bottom, :] = k
-            group = texture_group(k, num_classes)
+            group = texture_group(k)
             period = 4 + 3 * group
             stripes = 0.15 * np.sin(2 * np.pi * cols / period + phase)
             block = _PALETTE[group % len(_PALETTE)][:, None, None] + stripes[None, None, :]

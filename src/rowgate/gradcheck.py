@@ -30,7 +30,7 @@ from . import attention as attn
 from .errors import ConfigError, NumericalError
 from .net import GATE_SITES, ToySegConfig, ToySegModel
 from .parallel import fork_map
-from .tensor import Tensor, parameter, relu_input_margin, softmax_cross_entropy, tensor, zero_grads
+from .tensor import Tensor, no_grad, parameter, relu_input_margin, softmax_cross_entropy, tensor, zero_grads
 
 # Entries whose analytic and numeric magnitudes are both below this floor
 # are compared against it instead, so float noise on a genuinely zero
@@ -89,13 +89,17 @@ def _rel_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 
 def _probe(f: Callable[[], Tensor], flat: np.ndarray, i: int, step: float) -> tuple[float, float]:
-    """Loss with flat[i] moved by +step and by -step; flat[i] is restored even if ``f`` raises."""
+    """Loss with flat[i] moved by +step and by -step; flat[i] is restored even if ``f`` raises.
+
+    Both evaluations run under ``no_grad``: nothing differentiates them.
+    """
     keep = flat[i]
     try:
-        flat[i] = keep + step
-        up = float(f().data)
-        flat[i] = keep - step
-        down = float(f().data)
+        with no_grad():
+            flat[i] = keep + step
+            up = float(f().data)
+            flat[i] = keep - step
+            down = float(f().data)
     finally:
         flat[i] = keep
     return up, down

@@ -9,6 +9,7 @@ import numpy as np
 from .data import IGNORE_LABEL, Sample
 from .errors import ShapeError
 from .parallel import fork_map
+from .tensor import no_grad
 
 REGION_COUNT = 4  # equal horizontal quarters
 
@@ -56,8 +57,9 @@ def region_slices(height: int) -> list[slice]:
 
 
 def _image_counts(model, sample: Sample, k: int) -> list[np.ndarray]:
-    """One image's confusion in each region."""
-    prediction, label = model.forward(sample.image, training=False).data.argmax(axis=0), sample.label
+    """One image's confusion in each region, from a forward that records no graph."""
+    with no_grad():
+        prediction, label = model.forward(sample.image, training=False).data.argmax(axis=0), sample.label
     if prediction.shape != label.shape:  # before slicing, so the error names the whole maps
         raise ShapeError(f"prediction {prediction.shape} vs label {label.shape}")
     return [confusion_matrix(prediction[sl], label[sl], k) for sl in region_slices(label.shape[0])]

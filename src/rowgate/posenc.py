@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, parameter
+from .tensor import Tensor, node, parameter
 
 # Frequency base of the sinusoid family: position p, channel pair i maps to
 # sin(p / BASE^(2i/C)) and cos(p / BASE^(2i/C)).
@@ -90,13 +90,6 @@ def inject(q: Tensor, table: PETable, index: Optional[np.ndarray] = None) -> Ten
     if index.shape != (length,):
         raise ShapeError(f"index length {index.shape} does not match {length} positions")
     values = table.values
-    out = Tensor(
-        q.data + values.data[index].T,
-        q.requires_grad or values.requires_grad,
-        (q, values),
-        None,
-        "pe_inject",
-    )
 
     def backward(g: np.ndarray) -> None:
         if q.requires_grad:
@@ -106,5 +99,4 @@ def inject(q: Tensor, table: PETable, index: Optional[np.ndarray] = None) -> Ten
             np.add.at(dt, index, g.T)
             values.accumulate_grad(dt)
 
-    out._backward = backward
-    return out
+    return node(q.data + values.data[index].T, (q, values), backward, "pe_inject")

@@ -149,7 +149,7 @@ def load_label_dir(directory) -> list[LabelMap]:
 
 
 def unit_to_u8(values: np.ndarray) -> np.ndarray:
-    """Scale a [0, 1] matrix onto 0..255 grayscale."""
+    """Scale [0, 1] values onto 0..255 bytes, rounding and clipping."""
     return np.clip(np.rint(np.asarray(values) * 255.0), 0, 255).astype(np.uint8)
 
 

@@ -2,11 +2,21 @@
 
 Every operation builds a node in a dynamic graph: the output tensor keeps
 references to its parents and a closure that routes the output gradient
-back to them.  ``Tensor.backward()`` walks the graph once in reverse
-topological order.  All data lives in C-contiguous float64 arrays; shapes
+back to them.  All data lives in C-contiguous float64 arrays; shapes
 are validated at op boundaries and the only implicit broadcast allowed is
 a rank-2 (channels x height) operand against a rank-3
 (channels x height x width) one, i.e. per-row values copied across width.
+
+The graph lives only as long as something can read it.
+``Tensor.backward()`` walks it once in reverse topological order and
+releases it as it goes: once a node's closure has run, the node drops
+its gradient and the closure, with every array the closure kept, so
+only leaves keep ``.grad`` and a second sweep through the same graph
+raises.  Inside ``no_grad()`` no graph is recorded at all: every op
+returns a constant without parents or closure, bitwise the data it
+returns outside, so each intermediate array is freed as soon as the next
+op has read it.  Evaluation and finite-difference probes run there;
+training and graph inspection (``relu_input_margin``) run outside it.
 
 Averaging and interpolating ops are anchored: width pooling computes
 ``m + mean(x - m)`` with ``m`` the row maximum, and height resampling
@@ -29,6 +39,7 @@ where ``np.pad``'s per-call overhead costs more than the convolution.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -36,7 +47,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .data import IGNORE_LABEL
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, RowGateError, ShapeError
 
 Array = np.ndarray
 OPEN_UNIT_MARGIN = 1e-12  # clip_open_unit keeps values this far inside (0, 1)
@@ -48,7 +59,8 @@ class Tensor:
     """A float64 array plus an optional gradient buffer.
 
     Tensors are built either as leaves (``tensor`` / ``parameter``) or as
-    op outputs carrying their parents and a backward closure.  Data is
+    op outputs carrying their parents and a backward closure (constants
+    inside ``no_grad``).  Data is
     treated as immutable once wrapped; optimizers mutate parameter data
     in place between graph constructions, never inside one.
     """
@@ -87,7 +99,11 @@ class Tensor:
         self.grad += g
 
     def backward(self) -> None:
-        """Reverse-mode sweep seeding d(self)/d(self) = 1."""
+        """Reverse-mode sweep seeding d(self)/d(self) = 1, releasing the graph as it goes.
+
+        Each interior node drops its gradient and backward closure once the
+        closure has run, so the graph can be swept only once.
+        """
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -98,6 +114,11 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents and node._backward is None:
+                raise RowGateError(
+                    f"backward through a released graph: the {node.op!r} node was already "
+                    "swept by an earlier backward(); run the forward again"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -105,8 +126,10 @@ class Tensor:
                     stack.append((p, False))
         self.accumulate_grad(np.ones_like(self.data))
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = None
 
     def sum(self) -> "Tensor":
         return sum_all(self)
@@ -142,8 +165,29 @@ def zero_grads(params: Iterable[Tensor]) -> None:
         p.grad = None
 
 
-def _needs(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
+_grad_enabled = True  # False inside no_grad(); forked workers inherit it
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording a graph: every output is a constant.
+
+    No op keeps its inputs or a backward closure, so each intermediate
+    array is freed once the next op has read it.
+    """
+    global _grad_enabled
+    before, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = before
+
+
+def node(data: Array, parents: tuple[Tensor, ...], backward: Callable[[Array], None], op: str) -> Tensor:
+    """An op's output: a graph node over ``parents``, or a constant inside ``no_grad``."""
+    if not _grad_enabled:
+        return Tensor(data, op=op)
+    return Tensor(data, any(p.requires_grad for p in parents), parents, backward, op)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +212,6 @@ def _broadcast_pair(a: Tensor, b: Tensor, opname: str):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     ad, bd, ea, eb = _broadcast_pair(a, b, "add")
-    out = Tensor(ad + bd, _needs(a, b), (a, b), None, "add")
 
     def backward(g: Array) -> None:
         if a.requires_grad:
@@ -176,13 +219,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=2) if eb else g)
 
-    out._backward = backward
-    return out
+    return node(ad + bd, (a, b), backward, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd, ea, eb = _broadcast_pair(a, b, "mul")
-    out = Tensor(ad * bd, _needs(a, b), (a, b), None, "mul")
 
     def backward(g: Array) -> None:
         if a.requires_grad:
@@ -192,25 +233,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             gb = g * ad
             b.accumulate_grad(gb.sum(axis=2) if eb else gb)
 
-    out._backward = backward
-    return out
+    return node(ad * bd, (a, b), backward, "mul")
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = Tensor(x.data * s, x.requires_grad, (x,), None, "scale")
 
     def backward(g: Array) -> None:
         if x.requires_grad:
             x.accumulate_grad(g * s)
 
-    out._backward = backward
-    return out
+    return node(x.data * s, (x,), backward, "scale")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     ad, bd, ea, eb = _broadcast_pair(a, b, "sub")
-    out = Tensor(ad - bd, _needs(a, b), (a, b), None, "sub")
 
     def backward(g: Array) -> None:
         if a.requires_grad:
@@ -219,45 +256,37 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
             # times -1 rather than negation, which would also flip the sign of a NaN
             b.accumulate_grad((g.sum(axis=2) if eb else g) * -1.0)
 
-    out._backward = backward
-    return out
+    return node(ad - bd, (a, b), backward, "sub")
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    out = Tensor(x.data.reshape(shape), x.requires_grad, (x,), None, "reshape")
 
     def backward(g: Array) -> None:
         if x.requires_grad:
             x.accumulate_grad(g.reshape(x.shape))
 
-    out._backward = backward
-    return out
+    return node(x.data.reshape(shape), (x,), backward, "reshape")
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.sum()), x.requires_grad, (x,), None, "sum")
-
     def backward(g: Array) -> None:
         if x.requires_grad:
             x.accumulate_grad(np.full_like(x.data, float(g)))
 
-    out._backward = backward
-    return out
+    return node(np.asarray(x.data.sum()), (x,), backward, "sum")
 
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.size
-    out = Tensor(np.asarray(x.data.sum() / n), x.requires_grad, (x,), None, "mean")
 
     def backward(g: Array) -> None:
         if x.requires_grad:
             x.accumulate_grad(np.full_like(x.data, float(g) / n))
 
-    out._backward = backward
-    return out
+    return node(np.asarray(x.data.sum() / n), (x,), backward, "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +296,12 @@ def mean_all(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
-    out = Tensor(np.where(mask, x.data, 0.0), x.requires_grad, (x,), None, "relu")
 
     def backward(g: Array) -> None:
         if x.requires_grad:
             x.accumulate_grad(g * mask)
 
-    out._backward = backward
-    return out
+    return node(np.where(mask, x.data, 0.0), (x,), backward, "relu")
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -282,14 +309,12 @@ def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     e = np.exp(-np.abs(d))
     s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = Tensor(s, x.requires_grad, (x,), None, "sigmoid")
 
     def backward(g: Array) -> None:
         if x.requires_grad:
             x.accumulate_grad(g * s * (1.0 - s))
 
-    out._backward = backward
-    return out
+    return node(s, (x,), backward, "sigmoid")
 
 
 def clip_open_unit(x: Tensor) -> Tensor:
@@ -300,14 +325,12 @@ def clip_open_unit(x: Tensor) -> Tensor:
     """
     lo, hi = OPEN_UNIT_MARGIN, 1.0 - OPEN_UNIT_MARGIN
     inside = (x.data > lo) & (x.data < hi)
-    out = Tensor(np.clip(x.data, lo, hi), x.requires_grad, (x,), None, "clip_open_unit")
 
     def backward(g: Array) -> None:
         if x.requires_grad:
             x.accumulate_grad(g * inside)
 
-    out._backward = backward
-    return out
+    return node(np.clip(x.data, lo, hi), (x,), backward, "clip_open_unit")
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +413,6 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, dilation: int, o
     for k, win in taps:
         y += np.dot(w[k], xp[win].reshape(c_in, -1))
     y += bias.data[:, None]
-    out = Tensor(y.reshape(out_shape), _needs(x, weight, bias), (x, weight, bias), None, op)
 
     def backward(g: Array) -> None:
         g = g.reshape(flat)
@@ -409,8 +431,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, dilation: int, o
         if need_x:
             x.accumulate_grad(_unpad(dxp, pads))
 
-    out._backward = backward
-    return out
+    return node(y.reshape(out_shape), (x, weight, bias), backward, op)
 
 
 @dataclass
@@ -442,7 +463,6 @@ def concat_channels(xs: Sequence[Tensor]) -> Tensor:
     for t in xs:
         if t.shape[1:] != tail:
             raise ShapeError(f"concat_channels: trailing dims differ ({t.shape} vs {xs[0].shape})")
-    out = Tensor(np.concatenate([t.data for t in xs], axis=0), _needs(*xs), tuple(xs), None, "concat")
     sizes = [t.shape[0] for t in xs]
 
     def backward(g: Array) -> None:
@@ -452,8 +472,7 @@ def concat_channels(xs: Sequence[Tensor]) -> Tensor:
                 t.accumulate_grad(g[start : start + c])
             start += c
 
-    out._backward = backward
-    return out
+    return node(np.concatenate([t.data for t in xs], axis=0), tuple(xs), backward, "concat")
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +490,6 @@ def pool_width(x: Tensor, mode: str = "avg") -> Tensor:
     if mode == "avg":
         anchor = x.data.max(axis=2, keepdims=True)
         y = anchor + (x.data - anchor).sum(axis=2, keepdims=True) / w
-        out = Tensor(y, x.requires_grad, (x,), None, "pool_width_avg")
 
         def backward(g: Array) -> None:
             if x.requires_grad:
@@ -481,14 +499,12 @@ def pool_width(x: Tensor, mode: str = "avg") -> Tensor:
         y = x.data.max(axis=2, keepdims=True)
         mask = x.data == y  # ties split the gradient
         counts = mask.sum(axis=2, keepdims=True)
-        out = Tensor(y, x.requires_grad, (x,), None, "pool_width_max")
 
         def backward(g: Array) -> None:
             if x.requires_grad:
                 x.accumulate_grad(mask * (g / counts))
 
-    out._backward = backward
-    return out
+    return node(y, (x,), backward, f"pool_width_{mode}")
 
 
 @lru_cache(maxsize=None)
@@ -539,7 +555,6 @@ def _resize(x: Tensor, sizes: dict[int, int], op: str) -> Tensor:
         for k in range(1, taps.shape[1]):
             acc = acc + weights[:, k].reshape(shape) * (y.take(taps[:, k], axis=axis) - anchor)
         y = acc
-    out = Tensor(y, x.requires_grad, (x,), None, op)
 
     def backward(g: Array) -> None:
         if x.requires_grad:
@@ -547,8 +562,7 @@ def _resize(x: Tensor, sizes: dict[int, int], op: str) -> Tensor:
                 g = np.moveaxis(np.moveaxis(g, axis, -1) @ matrix, -1, axis)
             x.accumulate_grad(g)
 
-    out._backward = backward
-    return out
+    return node(y, (x,), backward, op)
 
 
 def resample_height(x: Tensor, h_target: int) -> Tensor:
@@ -630,7 +644,6 @@ def batch_norm1d(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
         xhat = (x.data - state.running_mean[:, None]) * inv
 
     y = gamma.data[:, None] * xhat + beta.data[:, None]
-    out = Tensor(y, _needs(x, gamma, beta), (x, gamma, beta), None, "batch_norm1d")
 
     def backward(g: Array) -> None:
         if beta.requires_grad:
@@ -647,8 +660,7 @@ def batch_norm1d(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
                 dx = gx * inv
             x.accumulate_grad(dx)
 
-    out._backward = backward
-    return out
+    return node(y, (x, gamma, beta), backward, "batch_norm1d")
 
 
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
@@ -660,14 +672,12 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], training: b
     if rng is None:
         raise ConfigError("dropout in training mode requires a generator")
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * mask, x.requires_grad, (x,), None, "dropout")
 
     def backward(g: Array) -> None:
         if x.requires_grad:
             x.accumulate_grad(g * mask)
 
-    out._backward = backward
-    return out
+    return node(x.data * mask, (x,), backward, "dropout")
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +709,6 @@ def softmax_cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     rows, cols = np.nonzero(valid)
     picked = logp[labels[rows, cols], rows, cols]
     loss = -picked.sum() / count
-    out = Tensor(np.asarray(loss), logits.requires_grad, (logits,), None, "softmax_ce")
 
     def backward(g: Array) -> None:
         if logits.requires_grad:
@@ -708,8 +717,7 @@ def softmax_cross_entropy(logits: Tensor, labels: Array) -> Tensor:
             d[labels[rows, cols], rows, cols] -= 1.0
             logits.accumulate_grad(d * (float(g) / count))
 
-    out._backward = backward
-    return out
+    return node(np.asarray(loss), (logits,), backward, "softmax_ce")
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +730,8 @@ def relu_input_margin(root: Tensor) -> float:
 
     Finite-difference gradient checks are only meaningful away from the
     relu kink; callers can resample inputs when this margin is tiny.
-    Returns inf when the graph contains no relu.
+    Returns inf when the graph contains no relu, as for any output of
+    ``no_grad``, which records no graph.
     """
     margin = np.inf
     seen: set[int] = set()

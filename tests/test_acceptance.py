@@ -98,8 +98,8 @@ def logit_gate_runs(trained_runs):
 # ---------------------------------------------------------------------------
 
 
-def _draw_gate_case(rng: np.random.Generator) -> Case:
-    """One random configuration, with its parameters and inputs clear of the relu kink."""
+def _draw_gate_case(rng: np.random.Generator) -> tuple[Case, str]:
+    """One random configuration, with its parameters and inputs clear of the relu kink, and its label."""
     c_l = int(rng.choice([4, 8, 16]))
     r = int(rng.choice([2, 4]))
     if c_l // r < 1:
@@ -114,19 +114,22 @@ def _draw_gate_case(rng: np.random.Generator) -> Case:
         pe_mode=pe_mode, pe_layer=int(rng.integers(1, 4)), jitter_max=0, dropout_p=0.0,
     )
     case, _ = draw_clear(lambda: gate_case(config, rng, h_l, h_h, 3))
-    return case
+    label = (f"C_l={c_l} C_h={c_h} r={r} coarse={coarse} pe={pe_mode} pe_layer={config.pe_layer} "
+             f"H_l={h_l} H_h={h_h} W=3")
+    return case, label
 
 
 @pytest.mark.slow
 def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(20240)
     start = time.monotonic()
-    worst_gate = 0.0
+    worst_gate, worst_label = 0.0, ""
     for _ in range(50):
-        case = _draw_gate_case(rng)
+        case, label = _draw_gate_case(rng)
         report = gradcheck(case.f, case.params, eps=1e-5, tol=1e-4)
-        worst_gate = max(worst_gate, report.max_rel_error)
-        assert report.passed, report.format()
+        if report.max_rel_error >= worst_gate:
+            worst_gate, worst_label = report.max_rel_error, f"{label}, {report.worst().name}"
+        assert report.passed, f"{label}\n{report.format()}"
 
     model = toy_model()
     case, margin = draw_clear(lambda: toy_model_case(model, rng))
@@ -135,7 +138,7 @@ def test_criterion_1_gradient_correctness():
     ok = model_report.passed and elapsed < 120.0
     verdict(
         1, "gradient correctness", ok,
-        f"50 gate configs max rel err {worst_gate:.2e} (<1e-4), full model "
+        f"50 gate configs max rel err {worst_gate:.2e} (<1e-4) at [{worst_label}], full model "
         f"{model_report.max_rel_error:.2e} (<1e-3, relu margin {margin:.1e}), "
         f"runtime {elapsed:.0f}s (<120s)",
     )

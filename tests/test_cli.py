@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rowgate import gradcheck
 from rowgate.attention import GateSettings
 from rowgate.cli import main
 from rowgate.config import DEFAULTS, build_model_config, parse_config_text, render, render_model, resolve
@@ -260,6 +261,15 @@ def test_bad_run_setting_exits_1_with_one_line(argv, named, tmp_path, capsys):
     assert code == 1
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["gradcheck.tolerance", "gradcheck.model_tolerance"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-4"])
+def test_bad_gradcheck_tolerance_is_caught_before_the_suite(key, value, monkeypatch, capsys):
+    monkeypatch.setattr(gradcheck, "suite", lambda *args, **kwargs: pytest.fail("the suite ran"))
+    assert main(["gradcheck", "--set", f"{key}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and len(err.strip().splitlines()) == 1
 
 
 def test_resolved_config_repeats_a_directory_run(tmp_path):

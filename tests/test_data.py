@@ -59,8 +59,8 @@ class TestSynthBanded:
         across = np.abs(means[0] - means[1]).max()
         assert within < 0.02
         assert across > 0.1
-        assert texture_group(0, 6) == texture_group(2, 6) == texture_group(4, 6)
-        assert texture_group(1, 6) == texture_group(3, 6)
+        assert texture_group(0) == texture_group(2) == texture_group(4)
+        assert texture_group(1) == texture_group(3)
 
     def test_too_few_classes_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,10 @@
 """Training loop behaviour: schedule, determinism, divergence, overfit."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -58,7 +63,41 @@ class TestWeightDecayGroups:
         assert len(names["attn"]) > 0
 
 
+# Trains the default model (every setting at its config default) for 12
+# steps and prints a digest of its state.
+TRAIN_12_STEPS = """
+import hashlib
+import numpy as np
+from rowgate import config
+from rowgate.data import synth_banded
+from rowgate.net import ToySegModel
+from rowgate.train import train
+
+values = config.resolve(None, ["train.max_iteration=12"])
+model = ToySegModel.build(config.build_model_config(values))
+data = synth_banded(seed=0, n_images=16, height=96, width=48)
+train(model, data, config.build_train_config(values), np.random.default_rng(0))
+digest = hashlib.sha256()
+for name, array in model.state_arrays():
+    digest.update(name.encode() + np.ascontiguousarray(array).tobytes())
+print(digest.hexdigest()[:16])
+"""
+
+
 class TestDeterminism:
+    @pytest.mark.slow
+    def test_blas_thread_count_does_not_change_training(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run([sys.executable, "-c", TRAIN_12_STEPS], env=env,
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout.strip())
+        assert digests[0] == digests[1]
+
     def test_identical_seeds_identical_parameters(self):
         runs = []
         for _ in range(2):
