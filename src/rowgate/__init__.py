@@ -8,6 +8,13 @@ and a label-statistics toolkit for the height/entropy analysis that
 motivates gating by vertical position.
 """
 
+import os
+
+# fork_map already runs one process per CPU, so more BLAS threads in each only
+# oversubscribe the CPUs.  Set before numpy loads; a value already set wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from . import attention, checkpoint, config, data, metrics, net, posenc, rasters, stats
 from .attention import GateSettings, RowGateConfig, RowGateParams, init_params
 from .errors import (

@@ -48,7 +48,9 @@ class GateSettings:
     """Row-gate hyperparameters shared by every attachment site.
 
     This is the one declaration of their names, types, defaults and
-    checks; ``config.DEFAULTS`` renders its ``gate.*`` entries from it.
+    checks.  ``config.DECLARED`` maps each ``gate.*`` key to its field;
+    ``config.DEFAULTS`` renders the key's default from the field's, and
+    ``config.build_gate_settings`` parses the value as the field's type.
     """
 
     coarse_height: int = 8
@@ -274,11 +276,3 @@ def forward(
     a_hat = attention_from_context(z_hat, params, config, training=training, rng=rng)
     attention = expand_attention(a_hat, x_h.shape[1])
     return apply_gate(attention, x_h), attention
-
-
-def validate_attention_map(values: np.ndarray) -> None:
-    """Assert the open-interval range contract of a gate map."""
-    if values.ndim != 2:
-        raise ShapeError(f"attention map must be rank 2, got shape {values.shape}")
-    if not np.all((values > 0.0) & (values < 1.0)):
-        raise ShapeError("attention map entries must lie strictly inside (0, 1)")

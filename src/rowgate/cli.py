@@ -58,10 +58,12 @@ def _resolve_and_log(args, out_dir: Path | None) -> dict[str, str]:
 
 
 def _parse_bands(spec: str) -> list[tuple[float, float]]:
-    spec = spec.strip()
-    if "," not in spec:
-        return statsmod.equal_bands(int(spec))
-    fractions = [float(v) for v in spec.split(",")]
+    try:
+        if "," not in spec:
+            return statsmod.equal_bands(int(spec))
+        fractions = [float(v) for v in spec.split(",")]
+    except ValueError:
+        raise ConfigError(f"--bands: expected a count or comma-separated fractions, got {spec!r}") from None
     edges = np.concatenate([[0.0], np.cumsum(fractions)])
     return [(float(edges[i]), float(edges[i + 1])) for i in range(len(fractions))]
 
@@ -72,8 +74,8 @@ def _parse_bands(spec: str) -> list[tuple[float, float]]:
 
 
 def cmd_stats(args) -> int:
-    label_maps = load_label_dir(args.label_dir)
     bands = _parse_bands(args.bands)
+    label_maps = load_label_dir(args.label_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -2,61 +2,79 @@
 
 One ``key=value`` per line, ``#`` comments, flag overrides on top of
 file values, unknown keys rejected; ``resolve`` is the one way a run
-setting gets in, and no key restates another.  ``render`` emits a
-canonical sorted form that re-parses to the identical mapping;
-``render_model`` renders only the keys that shape the model, the text
-checkpoint digests are computed from.
+setting gets in, and no key restates another.  Each default is written
+once: ``DEFAULTS`` renders it from the dataclass or function that
+declares it (``DECLARED``), and only keys with no library default are
+literal.  ``render`` emits a canonical sorted form that re-parses to the
+identical mapping; ``render_model`` renders only the keys that shape the
+model, the text checkpoint digests are computed from.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from pathlib import Path
 
 from .attention import GateSettings
+from .data import synth_banded
 from .errors import ConfigError
+from .gradcheck import gradcheck
 from .net import ToySegConfig
 from .train import TrainConfig
 
-# Each gate.* key and the GateSettings field it sets.  The defaults are
-# the dataclass's own, and each value parses as its default's type.
-GATE_KEYS: dict[str, str] = {
-    "gate.coarse_height": "coarse_height",
-    "gate.reduction": "reduction",
-    "gate.pool": "pool_mode",
-    "gate.pe": "pe_mode",
-    "gate.pe_layer": "pe_layer",
-    "gate.jitter": "jitter_max",
-    "gate.dropout": "dropout_p",
+# Each key whose default the library declares: the class or function that
+# declares it and the parameter the key sets.  DEFAULTS renders the
+# owner's own default, and the builders parse each value as its type.
+DECLARED: dict[str, tuple[object, str]] = {
+    "seed": (ToySegConfig, "seed"),
+    "model.in_channels": (ToySegConfig, "in_channels"),
+    "model.widths": (ToySegConfig, "widths"),
+    "model.gate_layers": (ToySegConfig, "gate_layers"),
+    "model.num_classes": (synth_banded, "num_classes"),
+    "gate.coarse_height": (GateSettings, "coarse_height"),
+    "gate.reduction": (GateSettings, "reduction"),
+    "gate.pool": (GateSettings, "pool_mode"),
+    "gate.pe": (GateSettings, "pe_mode"),
+    "gate.pe_layer": (GateSettings, "pe_layer"),
+    "gate.jitter": (GateSettings, "jitter_max"),
+    "gate.dropout": (GateSettings, "dropout_p"),
+    "train.lr": (TrainConfig, "base_lr"),
+    "train.momentum": (TrainConfig, "momentum"),
+    "train.weight_decay_main": (TrainConfig, "weight_decay_main"),
+    "train.weight_decay_attn": (TrainConfig, "weight_decay_attn"),
+    "train.power": (TrainConfig, "power"),
+    "train.batch_size": (TrainConfig, "batch_size"),
+    "train.crop": (TrainConfig, "crop"),
+    "data.noise": (synth_banded, "noise"),
+    "gradcheck.epsilon": (gradcheck, "eps"),
+    "gradcheck.tolerance": (gradcheck, "tol"),
 }
-_GATE_DEFAULTS = GateSettings()
+_LIBRARY_DEFAULTS = {
+    key: inspect.signature(owner).parameters[name].default for key, (owner, name) in DECLARED.items()
+}
+_SEPARATOR = {"train.crop": "x"}  # tuple keys joined by anything but ","
+
+
+def _as_text(key: str, value) -> str:
+    if isinstance(value, frozenset):
+        value = tuple(sorted(value))
+    if isinstance(value, tuple):
+        return _SEPARATOR.get(key, ",").join(map(str, value))
+    return str(value)
+
 
 # Every known key with its default (as text).  A run's resolved config is
 # this table overlaid with file values and flag overrides.
 DEFAULTS: dict[str, str] = {
-    "seed": "0",
-    "model.in_channels": "3",
-    "model.widths": "16,32,32",
-    "model.num_classes": "6",
-    "model.gate_layers": "1,2,3,4",
-    **{key: str(getattr(_GATE_DEFAULTS, name)) for key, name in GATE_KEYS.items()},
+    **{key: _as_text(key, default) for key, default in _LIBRARY_DEFAULTS.items()},
     "train.max_iteration": "400",
-    "train.lr": "1e-2",
-    "train.momentum": "0.9",
-    "train.weight_decay_main": "5e-4",
-    "train.weight_decay_attn": "1e-4",
-    "train.power": "0.9",
-    "train.batch_size": "4",
-    "train.crop": "96x48",
     "data.dir": "",  # empty: synthesize data.* images of model.num_classes classes
     "data.seed": "0",
     "data.n_train": "200",
     "data.n_val": "50",
     "data.height": "96",
     "data.width": "48",
-    "data.noise": "0.5",
-    "gradcheck.epsilon": "1e-5",
-    "gradcheck.tolerance": "1e-4",
     "gradcheck.model_tolerance": "1e-3",
 }
 
@@ -150,59 +168,43 @@ def get_positive(values: dict[str, str], key: str) -> float:
     return value
 
 
-def get_int_set(values: dict[str, str], key: str) -> frozenset[int]:
+def get_ints(values: dict[str, str], key: str, sep: str) -> list[int]:
     text = values[key].strip()
-    if not text:
-        return frozenset()
     try:
-        return frozenset(int(v) for v in text.split(","))
+        return [int(v) for v in text.split(sep)] if text else []
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {text!r}") from exc
-
-
-def get_int_tuple(values: dict[str, str], key: str, sep: str = ",") -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in values[key].split(sep))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected integers separated by {sep!r}") from exc
+        raise ConfigError(f"{key}: expected integers separated by {sep!r}, got {text!r}") from exc
 
 
 # -- builders ----------------------------------------------------------------
 
 
+def _parse(values: dict[str, str], key: str):
+    """A declared key's value, parsed as its default's type."""
+    if key == "seed":
+        return get_seed(values, key)
+    default = _LIBRARY_DEFAULTS[key]
+    if isinstance(default, (tuple, frozenset)):
+        return type(default)(get_ints(values, key, _SEPARATOR.get(key, ",")))
+    return {int: get_int, float: get_float, str: lambda v, k: v[k]}[type(default)](values, key)
+
+
+def _fields(values: dict[str, str], owner) -> dict:
+    """The parameters of ``owner`` that keys set, keyed by parameter name."""
+    return {name: _parse(values, key) for key, (o, name) in DECLARED.items() if o is owner}
+
+
 def build_model_config(values: dict[str, str]) -> ToySegConfig:
-    widths = get_int_tuple(values, "model.widths")
-    if len(widths) != 3:
-        raise ConfigError(f"model.widths: expected three values, got {values['model.widths']!r}")
     return ToySegConfig(
         num_classes=get_int(values, "model.num_classes"),
-        in_channels=get_int(values, "model.in_channels"),
-        widths=widths,  # type: ignore[arg-type]
-        gate_layers=get_int_set(values, "model.gate_layers"),
         gate=build_gate_settings(values),
-        seed=get_seed(values, "seed"),
+        **_fields(values, ToySegConfig),
     )
 
 
 def build_gate_settings(values: dict[str, str]) -> GateSettings:
-    getters = {int: get_int, float: get_float, str: lambda v, key: v[key]}
-    return GateSettings(**{
-        name: getters[type(getattr(_GATE_DEFAULTS, name))](values, key)
-        for key, name in GATE_KEYS.items()
-    })
+    return GateSettings(**_fields(values, GateSettings))
 
 
 def build_train_config(values: dict[str, str]) -> TrainConfig:
-    crop = get_int_tuple(values, "train.crop", sep="x")
-    if len(crop) != 2:
-        raise ConfigError(f"train.crop: expected HxW, got {values['train.crop']!r}")
-    return TrainConfig(
-        max_iteration=get_int(values, "train.max_iteration"),
-        base_lr=get_float(values, "train.lr"),
-        momentum=get_float(values, "train.momentum"),
-        weight_decay_main=get_float(values, "train.weight_decay_main"),
-        weight_decay_attn=get_float(values, "train.weight_decay_attn"),
-        power=get_float(values, "train.power"),
-        batch_size=get_int(values, "train.batch_size"),
-        crop=(crop[0], crop[1]),
-    )
+    return TrainConfig(max_iteration=get_int(values, "train.max_iteration"), **_fields(values, TrainConfig))

@@ -21,17 +21,8 @@ from .errors import ConfigError
 
 IGNORE_LABEL = 255
 
-# Base colours for texture groups; paired classes reuse the same entry.
-_PALETTE = np.array(
-    [
-        [0.80, 0.30, 0.20],
-        [0.25, 0.70, 0.40],
-        [0.30, 0.40, 0.85],
-        [0.85, 0.75, 0.25],
-        [0.60, 0.30, 0.75],
-        [0.20, 0.75, 0.75],
-    ]
-)
+# Base colour of each texture group (``texture_group``'s 0 and 1).
+_PALETTE = np.array([[0.80, 0.30, 0.20], [0.25, 0.70, 0.40]])
 
 
 @dataclass
@@ -96,7 +87,7 @@ def synth_banded(
             group = texture_group(k)
             period = 4 + 3 * group
             stripes = 0.15 * np.sin(2 * np.pi * cols / period + phase)
-            block = _PALETTE[group % len(_PALETTE)][:, None, None] + stripes[None, None, :]
+            block = _PALETTE[group][:, None, None] + stripes[None, None, :]
             image[:, top:bottom, :] = block
         if sigma > 0:
             image += rng.normal(scale=sigma, size=image.shape)

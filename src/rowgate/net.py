@@ -37,7 +37,7 @@ class ToySegConfig:
     num_classes: int
     in_channels: int = 3
     widths: tuple[int, int, int] = (16, 32, 32)
-    gate_layers: frozenset[int] = frozenset()
+    gate_layers: frozenset[int] = frozenset({1, 2, 3, 4})
     gate: attn.GateSettings = attn.GateSettings()
     seed: int = 0
 
@@ -136,9 +136,6 @@ class ToySegModel:
 
     def gate_parameters(self) -> list[tuple[str, Tensor]]:
         return [(n, p) for n, p in self.named_parameters() if n.startswith("gate.")]
-
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.named_parameters())
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
         """Every array needed to reproduce eval behaviour bit-for-bit."""

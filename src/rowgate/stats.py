@@ -95,6 +95,8 @@ def _validate_bands(bands: Sequence[tuple[float, float]]) -> list[tuple[float, f
     if not bands:
         raise ConfigError("at least one band is required")
     ordered = [(float(lo), float(hi)) for lo, hi in bands]
+    if not np.all(np.isfinite(ordered)):
+        raise ConfigError(f"band fractions must be finite, got {ordered}")
     if abs(ordered[0][0]) > 1e-12 or abs(ordered[-1][1] - 1.0) > 1e-12:
         raise ConfigError("bands must start at 0 and end at 1")
     for (_, hi_prev), (lo, hi) in zip(ordered, ordered[1:]):

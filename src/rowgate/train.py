@@ -41,7 +41,7 @@ class TrainConfig:
     weight_decay_attn: float = 1e-4
     power: float = 0.9
     batch_size: int = 4
-    crop: tuple[int, int] = (64, 64)
+    crop: tuple[int, int] = (96, 48)
 
     def __post_init__(self):
         if self.max_iteration < 0:
@@ -54,6 +54,8 @@ class TrainConfig:
             raise ConfigError(f"power must be in (0, 1], got {self.power}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if len(self.crop) != 2:
+            raise ConfigError(f"crop must be HxW, got {'x'.join(map(str, self.crop))}")
         if min(self.crop) < 1:
             raise ConfigError(f"crop extents must be >= 1, got {self.crop[0]}x{self.crop[1]}")
 

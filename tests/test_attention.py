@@ -172,8 +172,7 @@ class TestAttentionFromContext:
         params.conv3.bias.data[:] = 1e5
         z_hat = tensor(np.random.default_rng(12).normal(size=(8, 4)))
         a = attn.attention_from_context(z_hat, params, cfg, training=False).data
-        assert np.all(a > 0.0) and np.all(a < 1.0)
-        attn.validate_attention_map(a)
+        assert a.ndim == 2 and np.all(a > 0.0) and np.all(a < 1.0)
 
     def test_wrong_context_shape_rejected(self):
         cfg = small_config()
@@ -331,7 +330,7 @@ class TestForward:
             x_l = tensor(rng.normal(size=(8, 12, 7)))
             x_h = tensor(rng.normal(size=(16, 12, 7)))
             _, a = attn.forward(x_l, x_h, params, cfg, training=False)
-            attn.validate_attention_map(a.data)
+            assert a.data.ndim == 2 and np.all((a.data > 0.0) & (a.data < 1.0))
 
 
 class TestFullPipelineGradients:

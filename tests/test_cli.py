@@ -10,10 +10,20 @@ import pytest
 from rowgate import gradcheck
 from rowgate.attention import GateSettings
 from rowgate.cli import main
-from rowgate.config import DEFAULTS, build_model_config, parse_config_text, render, render_model, resolve
+from rowgate.config import (
+    DEFAULTS,
+    build_model_config,
+    build_train_config,
+    parse_config_text,
+    render,
+    render_model,
+    resolve,
+)
 from rowgate.data import synth_banded
 from rowgate.errors import ConfigError
+from rowgate.net import ToySegConfig
 from rowgate.rasters import read_pgm, write_pgm, write_ppm
+from rowgate.train import TrainConfig
 
 FAST_MODEL = [
     "--set", "model.widths=4,6,6", "--set", "model.num_classes=4",
@@ -55,6 +65,8 @@ class TestConfigResolution:
 
     def test_gate_defaults_are_the_dataclass_defaults(self):
         assert build_model_config(resolve(None)).gate == GateSettings()
+        assert build_model_config(resolve(None)) == ToySegConfig(num_classes=6)
+        assert build_train_config(resolve(None)) == TrainConfig(max_iteration=400)
         # checkpoint digests cover this text, so it must not drift
         assert {k: v for k, v in DEFAULTS.items() if k.startswith("gate.")} == {
             "gate.coarse_height": "8", "gate.reduction": "2", "gate.pool": "avg",
@@ -126,6 +138,17 @@ class TestStatsCommand:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert err.count("a_zero.pgm") == 1 and "b_short.pgm" not in err
         assert "1 more" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bands", ["abc", "0.5,x", "nan,nan", "1e9"])
+    def test_malformed_bands_fail_on_one_line(self, bands, tmp_path, capsys):
+        labels = tmp_path / "labels"
+        write_banded_labels(labels)
+        code = main(["stats", str(labels), "--classes", "4", "--bands", bands,
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +250,7 @@ def test_io_failure_exits_1_with_one_line(break_input, tmp_path, capsys):
 
 @pytest.mark.parametrize("setting", [
     "train.crop=0x0", "train.crop=-4x8", "train.lr=nan", "train.lr=inf", "train.momentum=nan",
-    "train.weight_decay_main=nan", "data.noise=nan", "data.noise=inf",
+    "train.weight_decay_main=nan", "data.noise=nan", "data.noise=inf", "train.crop=16",
 ])
 def test_bad_training_setting_exits_1_with_one_line(setting, tmp_path, capsys):
     code = main(["train", "--out", str(tmp_path / "run"), *FAST_MODEL, "--set", setting])

@@ -77,7 +77,7 @@ class TestRegions:
 class TestEvaluate:
     def make_model(self):
         cfg = ToySegConfig(
-            num_classes=6, widths=(4, 6, 6),
+            num_classes=6, widths=(4, 6, 6), gate_layers=frozenset(),
             gate=GateSettings(coarse_height=2, reduction=2), seed=0,
         )
         return ToySegModel.build(cfg)

@@ -138,10 +138,10 @@ class TestOverfit:
     def test_single_sample_overfit(self):
         # one image, 300 iterations: pixel accuracy must exceed 99%
         model = ToySegModel.build(
-            ToySegConfig(num_classes=6, gate=TINY_GATE, seed=0)
+            ToySegConfig(num_classes=6, gate_layers=frozenset(), gate=TINY_GATE, seed=0)
         )
         data = synth_banded(seed=11, n_images=1, height=64, width=64, noise=0.3)
-        config = TrainConfig(max_iteration=300, batch_size=1)
+        config = TrainConfig(max_iteration=300, batch_size=1, crop=(64, 64))
         log = train(model, data, config, np.random.default_rng(5))
         report = evaluate(model, data)
         assert report.pixel_accuracy > 0.99, f"accuracy {report.pixel_accuracy}"
