@@ -111,7 +111,7 @@ class RowGateParams:
     conv3: ConvParams1D  # 2*C_l/r -> C_h
     norm1: BatchNormState
     norm2: BatchNormState
-    pe_table: Optional[posenc.PETable] = None
+    pe_table: Optional[Tensor] = None  # (coarse_height, channels); a parameter when learnable
 
     def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         """Trainable tensors with stable names, for optimizers and checkpoints."""
@@ -127,8 +127,8 @@ class RowGateParams:
             (f"{prefix}norm2.gamma", self.norm2.gamma),
             (f"{prefix}norm2.beta", self.norm2.beta),
         ]
-        if self.pe_table is not None and self.pe_table.mode == "learnable":
-            out.append((f"{prefix}pe_table", self.pe_table.values))
+        if self.pe_table is not None and self.pe_table.requires_grad:
+            out.append((f"{prefix}pe_table", self.pe_table))
         return out
 
     def running_stats(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:

@@ -25,7 +25,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Sample, synth_banded
 from .errors import ConfigError, NumericalError, RowGateError
 from .metrics import evaluate
-from .net import ToySegModel
+from .net import GATE_SITES, ToySegModel
 from .rasters import (
     load_label_dir,
     read_label_map,
@@ -74,27 +74,25 @@ def _parse_bands(spec: str) -> list[tuple[float, float]]:
 
 
 def cmd_stats(args) -> int:
+    # everything is computed before the first write, so a bad input leaves no file
     bands = _parse_bands(args.bands)
     label_maps = load_label_dir(args.label_dir)
+    report = statsmod.region_report(label_maps, args.classes, bands)
+    dists = {axis: statsmod.axis_distribution(label_maps, args.classes, axis=axis, bins=args.bins)
+             for axis in ("height", "width")}
+    h_spread, w_spread = statsmod.distribution_divergence(dists["height"][0], dists["width"][0])
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    report = statsmod.region_report(label_maps, args.classes, bands)
     text = statsmod.render_report_text(report)
     print(text)
     (out / "report.txt").write_text(text + "\n")
     write_csv_rows(out / "report.csv", statsmod.report_to_csv_rows(report))
-
-    dists = {axis: statsmod.axis_distribution(label_maps, args.classes, axis=axis, bins=args.bins)
-             for axis in ("height", "width")}
-    axis = "height" if args.axis == "h" else "width"
-    per_bin, per_class = dists[axis]
-    write_matrix_csv(out / f"{axis}_distribution.csv", per_bin)
-    write_heatmap_pgm(out / f"{axis}_distribution.pgm", per_bin)
-    write_matrix_csv(out / f"{axis}_distribution_per_class.csv", per_class)
-    write_heatmap_pgm(out / f"{axis}_distribution_per_class.pgm", per_class)
-
-    h_spread, w_spread = statsmod.distribution_divergence(dists["height"][0], dists["width"][0])
+    for axis, (per_bin, per_class) in dists.items():
+        write_matrix_csv(out / f"{axis}_distribution.csv", per_bin)
+        write_heatmap_pgm(out / f"{axis}_distribution.pgm", per_bin)
+        write_matrix_csv(out / f"{axis}_distribution_per_class.csv", per_class)
+        write_heatmap_pgm(out / f"{axis}_distribution_per_class.pgm", per_class)
     summary = (
         f"unconditional_entropy={report.unconditional_entropy:.6g}\n"
         f"average_conditional_entropy={report.average_conditional_entropy:.6g}\n"
@@ -232,7 +230,7 @@ def cmd_attn(args) -> int:
     out = Path(args.out)
     values = _resolve_and_log(args, out)
     model = _load_model(values, args.checkpoint)
-    sites = sorted(model.gates) if args.layer == "all" else [int(args.layer.lstrip("L"))]
+    sites = sorted(model.gates) if args.layer == "all" else [int(args.layer[1:])]
     for site in sites:
         if site not in model.gates:
             raise RowGateError(f"layer L{site} has no gate in this model")
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("label_dir", help="directory of .pgm/.png label rasters")
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--bands", default="3", help="band count or comma-separated fractions")
-    p.add_argument("--axis", choices=["h", "w"], default="h")
     p.add_argument("--bins", type=int, default=16)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_stats)
@@ -304,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True, help="input image (.ppm)")
-    p.add_argument("--layer", default="all", help="L1..L5 or 'all'")
+    p.add_argument("--layer", default="all", choices=["all"] + [f"L{site}" for site in GATE_SITES])
     p.add_argument("--labels", default=None,
                    help="label dir for the L5 class-distribution side-by-side")
     p.set_defaults(fn=cmd_attn)

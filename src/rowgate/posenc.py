@@ -2,12 +2,12 @@
 
 Provides the fixed sinusoidal table, a learnable alternative, train-time
 row-index jitter, and the additive injection of table rows into a
-(channels x positions) feature map.
+(channels x positions) feature map.  A table is a (positions x channels)
+``Tensor``: a constant when fixed, a parameter when learnable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,23 +20,7 @@ from .tensor import Tensor, node, parameter
 PE_BASE = 100.0
 
 
-@dataclass
-class PETable:
-    """A (positions x channels) table of per-row vectors."""
-
-    values: Tensor
-    mode: str  # "sinusoidal" or "learnable"
-
-    @property
-    def positions(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[1]
-
-
-def sinusoidal_table(positions: int, channels: int) -> PETable:
+def sinusoidal_table(positions: int, channels: int) -> Tensor:
     """Fixed sine/cosine table over row indices 0 .. positions-1."""
     if channels < 2:
         raise ConfigError(f"sinusoidal table needs at least 2 channels, got {channels}")
@@ -48,14 +32,13 @@ def sinusoidal_table(positions: int, channels: int) -> PETable:
     table = np.empty((positions, channels))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle[:, : table[:, 1::2].shape[1]])
-    return PETable(values=Tensor(table), mode="sinusoidal")
+    return Tensor(table)
 
 
-def learnable_table(positions: int, channels: int, rng: np.random.Generator) -> PETable:
+def learnable_table(positions: int, channels: int, rng: np.random.Generator) -> Tensor:
     """From-scratch trainable table, small uniform init."""
     bound = 1.0 / np.sqrt(channels)
-    values = rng.uniform(-bound, bound, size=(positions, channels))
-    return PETable(values=parameter(values), mode="learnable")
+    return parameter(rng.uniform(-bound, bound, size=(positions, channels)))
 
 
 def jitter(positions: int, jitter_max: int, rng: Optional[np.random.Generator]) -> np.ndarray:
@@ -75,28 +58,22 @@ def jitter(positions: int, jitter_max: int, rng: Optional[np.random.Generator]) 
     return np.clip(base + shift, 0, positions - 1)
 
 
-def inject(q: Tensor, table: PETable, index: Optional[np.ndarray] = None) -> Tensor:
+def inject(q: Tensor, table: Tensor, index: Optional[np.ndarray] = None) -> Tensor:
     """Add table rows to a (channels x positions) map: out[:, p] += T[index[p], :]."""
     if q.data.ndim != 2:
         raise ShapeError(f"inject expects a rank-2 map, got {q.shape}")
     c, length = q.shape
-    if table.channels != c:
-        raise ConfigError(
-            f"positional table has {table.channels} channels, feature map has {c}"
-        )
+    if table.shape[1] != c:
+        raise ConfigError(f"positional table has {table.shape[1]} channels, feature map has {c}")
     if index is None:
         index = np.arange(length, dtype=np.intp)
     index = np.asarray(index, dtype=np.intp)
     if index.shape != (length,):
         raise ShapeError(f"index length {index.shape} does not match {length} positions")
-    values = table.values
 
-    def backward(g: np.ndarray) -> None:
-        if q.requires_grad:
-            q.accumulate_grad(g)
-        if values.requires_grad:
-            dt = np.zeros_like(values.data)
-            np.add.at(dt, index, g.T)
-            values.accumulate_grad(dt)
+    def d_table(g: np.ndarray) -> np.ndarray:
+        dt = np.zeros_like(table.data)
+        np.add.at(dt, index, g.T)
+        return dt
 
-    return node(q.data + values.data[index].T, (q, values), backward, "pe_inject")
+    return node(q.data + table.data[index].T, "pe_inject", (q, lambda g: g), (table, d_table))

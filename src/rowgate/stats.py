@@ -125,6 +125,8 @@ def region_report(
     entropy weights each band's entropy by its share of non-ignore pixels.
     """
     bands = _validate_bands(bands)
+    if num_classes < 1:
+        raise ConfigError(f"class count must be >= 1, got {num_classes}")
     counts = np.zeros((len(bands), num_classes), dtype=np.int64)
     for label_map in label_maps:
         ids = _check_ids(label_map, num_classes)
@@ -173,6 +175,8 @@ def axis_distribution(
     """
     if axis not in ("height", "width"):
         raise ConfigError(f"axis must be 'height' or 'width', got {axis!r}")
+    if num_classes < 1:
+        raise ConfigError(f"class count must be >= 1, got {num_classes}")
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
     counts = np.zeros((bins, num_classes), dtype=np.int64)

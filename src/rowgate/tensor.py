@@ -1,11 +1,19 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Every operation builds a node in a dynamic graph: the output tensor keeps
-references to its parents and a closure that routes the output gradient
-back to them.  All data lives in C-contiguous float64 arrays; shapes
-are validated at op boundaries and the only implicit broadcast allowed is
-a rank-2 (channels x height) operand against a rank-3
-(channels x height x width) one, i.e. per-row values copied across width.
+Every operation builds a node in a dynamic graph through ``node``.  An op
+states only its vector-Jacobian products: it passes ``node`` its output
+and one ``(input, vjp)`` pair per input, where ``vjp`` maps the output
+gradient to that input's gradient.  ``node`` builds the one backward
+closure there is, which adds ``vjp(g)`` into each input that requires a
+gradient, in input order, so an input passed twice gets both terms and
+a constant input gets none.  No op body tests ``requires_grad`` or
+accumulates a gradient itself.
+
+All data lives in C-contiguous float64 arrays; shapes are validated at
+op boundaries and the only implicit broadcast allowed is a rank-2
+(channels x height) operand against a rank-3 (channels x height x width)
+one, i.e. per-row values copied across width; ``_broadcast_pair`` also
+returns per operand the fold that sums its gradient back over width.
 
 The graph lives only as long as something can read it.
 ``Tensor.backward()`` walks it once in reverse topological order and
@@ -183,11 +191,22 @@ def no_grad():
         _grad_enabled = before
 
 
-def node(data: Array, parents: tuple[Tensor, ...], backward: Callable[[Array], None], op: str) -> Tensor:
-    """An op's output: a graph node over ``parents``, or a constant inside ``no_grad``."""
+def node(data: Array, op: str, *inputs: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
+    """An op's output over ``(input, vjp)`` pairs, or a constant inside ``no_grad``.
+
+    Its backward closure adds ``vjp(g)`` into each input that requires a
+    gradient, in input order.
+    """
     if not _grad_enabled:
         return Tensor(data, op=op)
-    return Tensor(data, any(p.requires_grad for p in parents), parents, backward, op)
+
+    def backward(g: Array) -> None:
+        for t, vjp in inputs:
+            if t.requires_grad:
+                t.accumulate_grad(vjp(g))
+
+    parents, _ = zip(*inputs)
+    return Tensor(data, any([t.requires_grad for t in parents]), parents, backward, op)
 
 
 # ---------------------------------------------------------------------------
@@ -195,98 +214,65 @@ def node(data: Array, parents: tuple[Tensor, ...], backward: Callable[[Array], N
 # ---------------------------------------------------------------------------
 
 
+def _same(g: Array) -> Array:
+    return g
+
+
+def _sum_width(g: Array) -> Array:
+    return g.sum(axis=2)
+
+
 def _broadcast_pair(a: Tensor, b: Tensor, opname: str):
-    """Return (a_data, b_data, expand_a, expand_b) for the allowed shapes.
+    """Return (a_data, b_data, fold_a, fold_b) for the allowed shapes.
 
     Allowed: identical shapes, or one operand of shape (C, H) against the
     other of shape (C, H, W) -- the per-row-across-width broadcast.
+    ``fold_a`` maps a gradient of the output's shape to ``a``'s shape.
     """
     if a.shape == b.shape:
-        return a.data, b.data, False, False
+        return a.data, b.data, _same, _same
     if a.data.ndim == 2 and b.data.ndim == 3 and a.shape == b.shape[:2]:
-        return a.data[:, :, None], b.data, True, False
+        return a.data[:, :, None], b.data, _sum_width, _same
     if b.data.ndim == 2 and a.data.ndim == 3 and b.shape == a.shape[:2]:
-        return a.data, b.data[:, :, None], False, True
+        return a.data, b.data[:, :, None], _same, _sum_width
     raise ShapeError(f"{opname}: incompatible shapes {a.shape} and {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd, ea, eb = _broadcast_pair(a, b, "add")
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g.sum(axis=2) if ea else g)
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=2) if eb else g)
-
-    return node(ad + bd, (a, b), backward, "add")
+    ad, bd, fold_a, fold_b = _broadcast_pair(a, b, "add")
+    return node(ad + bd, "add", (a, fold_a), (b, fold_b))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd, ea, eb = _broadcast_pair(a, b, "mul")
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            ga = g * bd
-            a.accumulate_grad(ga.sum(axis=2) if ea else ga)
-        if b.requires_grad:
-            gb = g * ad
-            b.accumulate_grad(gb.sum(axis=2) if eb else gb)
-
-    return node(ad * bd, (a, b), backward, "mul")
+    ad, bd, fold_a, fold_b = _broadcast_pair(a, b, "mul")
+    return node(ad * bd, "mul", (a, lambda g: fold_a(g * bd)), (b, lambda g: fold_b(g * ad)))
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(g * s)
-
-    return node(x.data * s, (x,), backward, "scale")
+    return node(x.data * s, "scale", (x, lambda g: g * s))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd, ea, eb = _broadcast_pair(a, b, "sub")
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g.sum(axis=2) if ea else g)
-        if b.requires_grad:
-            # times -1 rather than negation, which would also flip the sign of a NaN
-            b.accumulate_grad((g.sum(axis=2) if eb else g) * -1.0)
-
-    return node(ad - bd, (a, b), backward, "sub")
+    ad, bd, fold_a, fold_b = _broadcast_pair(a, b, "sub")
+    # times -1 rather than negation, which would also flip the sign of a NaN
+    return node(ad - bd, "sub", (a, fold_a), (b, lambda g: fold_b(g) * -1.0))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.shape))
-
-    return node(x.data.reshape(shape), (x,), backward, "reshape")
+    return node(x.data.reshape(shape), "reshape", (x, lambda g: g.reshape(x.shape)))
 
 
 def sum_all(x: Tensor) -> Tensor:
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, float(g)))
-
-    return node(np.asarray(x.data.sum()), (x,), backward, "sum")
+    return node(np.asarray(x.data.sum()), "sum", (x, lambda g: np.full_like(x.data, float(g))))
 
 
 def mean_all(x: Tensor) -> Tensor:
     n = x.size
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, float(g) / n))
-
-    return node(np.asarray(x.data.sum() / n), (x,), backward, "mean")
+    return node(np.asarray(x.data.sum() / n), "mean", (x, lambda g: np.full_like(x.data, float(g) / n)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +282,7 @@ def mean_all(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(g * mask)
-
-    return node(np.where(mask, x.data, 0.0), (x,), backward, "relu")
+    return node(np.where(mask, x.data, 0.0), "relu", (x, lambda g: g * mask))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -309,12 +290,7 @@ def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     e = np.exp(-np.abs(d))
     s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(g * s * (1.0 - s))
-
-    return node(s, (x,), backward, "sigmoid")
+    return node(s, "sigmoid", (x, lambda g: g * s * (1.0 - s)))
 
 
 def clip_open_unit(x: Tensor) -> Tensor:
@@ -325,12 +301,7 @@ def clip_open_unit(x: Tensor) -> Tensor:
     """
     lo, hi = OPEN_UNIT_MARGIN, 1.0 - OPEN_UNIT_MARGIN
     inside = (x.data > lo) & (x.data < hi)
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(g * inside)
-
-    return node(np.clip(x.data, lo, hi), (x,), backward, "clip_open_unit")
+    return node(np.clip(x.data, lo, hi), "clip_open_unit", (x, lambda g: g * inside))
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +385,22 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, dilation: int, o
         y += np.dot(w[k], xp[win].reshape(c_in, -1))
     y += bias.data[:, None]
 
-    def backward(g: Array) -> None:
+    def d_input(g: Array) -> Array:
         g = g.reshape(flat)
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=1))
-        need_x, need_w = x.requires_grad, weight.requires_grad
-        dxp = np.zeros_like(xp) if need_x else None
-        dw = np.empty_like(w) if need_w else None
+        dxp = np.zeros_like(xp)
         for k, win in taps:
-            if need_w:
-                dw[k] = np.dot(g, xp[win].transpose(channels_last).reshape(-1, c_in))
-            if need_x:
-                dxp[win] += np.dot(w[k].T, g).reshape(win_shape)
-        if need_w:
-            weight.accumulate_grad(dw)
-        if need_x:
-            x.accumulate_grad(_unpad(dxp, pads))
+            dxp[win] += np.dot(w[k].T, g).reshape(win_shape)
+        return _unpad(dxp, pads)
 
-    return node(y.reshape(out_shape), (x, weight, bias), backward, op)
+    def d_weight(g: Array) -> Array:
+        g = g.reshape(flat)
+        dw = np.empty_like(w)
+        for k, win in taps:
+            dw[k] = np.dot(g, xp[win].transpose(channels_last).reshape(-1, c_in))
+        return dw
+
+    return node(y.reshape(out_shape), op, (x, d_input), (weight, d_weight),
+                (bias, lambda g: g.reshape(flat).sum(axis=1)))
 
 
 @dataclass
@@ -463,16 +432,11 @@ def concat_channels(xs: Sequence[Tensor]) -> Tensor:
     for t in xs:
         if t.shape[1:] != tail:
             raise ShapeError(f"concat_channels: trailing dims differ ({t.shape} vs {xs[0].shape})")
-    sizes = [t.shape[0] for t in xs]
-
-    def backward(g: Array) -> None:
-        start = 0
-        for t, c in zip(xs, sizes):
-            if t.requires_grad:
-                t.accumulate_grad(g[start : start + c])
-            start += c
-
-    return node(np.concatenate([t.data for t in xs], axis=0), tuple(xs), backward, "concat")
+    inputs, start = [], 0
+    for t in xs:
+        inputs.append((t, lambda g, lo=start, hi=start + t.shape[0]: g[lo:hi]))
+        start += t.shape[0]
+    return node(np.concatenate([t.data for t in xs], axis=0), "concat", *inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +455,18 @@ def pool_width(x: Tensor, mode: str = "avg") -> Tensor:
         anchor = x.data.max(axis=2, keepdims=True)
         y = anchor + (x.data - anchor).sum(axis=2, keepdims=True) / w
 
-        def backward(g: Array) -> None:
-            if x.requires_grad:
-                x.accumulate_grad(np.broadcast_to(g / w, x.shape).copy())
+        def vjp(g: Array) -> Array:
+            return np.broadcast_to(g / w, x.shape)
 
     else:
         y = x.data.max(axis=2, keepdims=True)
         mask = x.data == y  # ties split the gradient
         counts = mask.sum(axis=2, keepdims=True)
 
-        def backward(g: Array) -> None:
-            if x.requires_grad:
-                x.accumulate_grad(mask * (g / counts))
+        def vjp(g: Array) -> Array:
+            return mask * (g / counts)
 
-    return node(y, (x,), backward, f"pool_width_{mode}")
+    return node(y, f"pool_width_{mode}", (x, vjp))
 
 
 @lru_cache(maxsize=None)
@@ -556,13 +518,12 @@ def _resize(x: Tensor, sizes: dict[int, int], op: str) -> Tensor:
             acc = acc + weights[:, k].reshape(shape) * (y.take(taps[:, k], axis=axis) - anchor)
         y = acc
 
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            for axis, (_, _, matrix) in reversed(plans):
-                g = np.moveaxis(np.moveaxis(g, axis, -1) @ matrix, -1, axis)
-            x.accumulate_grad(g)
+    def vjp(g: Array) -> Array:
+        for axis, (_, _, matrix) in reversed(plans):
+            g = np.moveaxis(np.moveaxis(g, axis, -1) @ matrix, -1, axis)
+        return g
 
-    return node(y, (x,), backward, op)
+    return node(y, op, (x, vjp))
 
 
 def resample_height(x: Tensor, h_target: int) -> Tensor:
@@ -645,22 +606,16 @@ def batch_norm1d(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
 
     y = gamma.data[:, None] * xhat + beta.data[:, None]
 
-    def backward(g: Array) -> None:
-        if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=1))
-        if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=1))
-        if x.requires_grad:
-            gx = g * gamma.data[:, None]
-            if training:
-                mean_gx = gx.sum(axis=1, keepdims=True) / length
-                mean_gx_xhat = (gx * xhat).sum(axis=1, keepdims=True) / length
-                dx = inv * (gx - mean_gx - xhat * mean_gx_xhat)
-            else:
-                dx = gx * inv
-            x.accumulate_grad(dx)
+    def d_x(g: Array) -> Array:
+        gx = g * gamma.data[:, None]
+        if not training:
+            return gx * inv
+        mean_gx = gx.sum(axis=1, keepdims=True) / length
+        mean_gx_xhat = (gx * xhat).sum(axis=1, keepdims=True) / length
+        return inv * (gx - mean_gx - xhat * mean_gx_xhat)
 
-    return node(y, (x, gamma, beta), backward, "batch_norm1d")
+    return node(y, "batch_norm1d", (x, d_x), (gamma, lambda g: (g * xhat).sum(axis=1)),
+                (beta, lambda g: g.sum(axis=1)))
 
 
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
@@ -672,12 +627,7 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator], training: b
     if rng is None:
         raise ConfigError("dropout in training mode requires a generator")
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x.accumulate_grad(g * mask)
-
-    return node(x.data * mask, (x,), backward, "dropout")
+    return node(x.data * mask, "dropout", (x, lambda g: g * mask))
 
 
 # ---------------------------------------------------------------------------
@@ -710,14 +660,12 @@ def softmax_cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     picked = logp[labels[rows, cols], rows, cols]
     loss = -picked.sum() / count
 
-    def backward(g: Array) -> None:
-        if logits.requires_grad:
-            p = np.exp(logp)
-            d = p * valid[None, :, :]
-            d[labels[rows, cols], rows, cols] -= 1.0
-            logits.accumulate_grad(d * (float(g) / count))
+    def vjp(g: Array) -> Array:
+        d = np.exp(logp) * valid[None, :, :]
+        d[labels[rows, cols], rows, cols] -= 1.0
+        return d * (float(g) / count)
 
-    return node(np.asarray(loss), (logits,), backward, "softmax_ce")
+    return node(np.asarray(loss), "softmax_ce", (logits, vjp))
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,7 @@ class TestStatsCommand:
         assert float(values["height_spread"]) > float(values["width_spread"])
         assert (out / "report.csv").exists()
         assert read_pgm(out / "height_distribution.pgm").shape[0] == 16
+        assert read_pgm(out / "width_distribution.pgm").shape[0] == 16
 
     def test_single_band_matches_unconditional(self, tmp_path):
         labels = tmp_path / "labels"
@@ -150,6 +151,19 @@ class TestStatsCommand:
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [["--classes", "-1"], ["--classes", "0"],
+                                       ["--classes", "4", "--bins", "0"]],
+                             ids=["classes_negative", "classes_zero", "bins_zero"])
+    def test_bad_count_fails_on_one_line_and_writes_nothing(self, flags, tmp_path, capsys):
+        labels = tmp_path / "labels"
+        write_banded_labels(labels)
+        out = tmp_path / "o"
+        code = main(["stats", str(labels), *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not out.exists() or not any(out.iterdir())
+
 
 @pytest.fixture(scope="module")
 def default_gradcheck():
@@ -189,10 +203,12 @@ class TestGradcheckCommand:
     (["stats"], 1),
     (["gradcheck", "--epsilon", "1e-6"], 1),
     (["train", "--set"], 1),
+    (["attn", "--out", "o", "--checkpoint", "c", "--image", "i", "--layer", "foo"], 1),
+    (["attn", "--out", "o", "--checkpoint", "c", "--image", "i", "--layer", "LL5"], 1),
     (["--help"], 0),
     (["gradcheck", "--help"], 0),
 ], ids=["no_command", "unknown_command", "stats_no_args", "epsilon_flag", "set_no_value",
-        "help", "gradcheck_help"])
+        "attn_layer_foo", "attn_layer_LL5", "help", "gradcheck_help"])
 def test_usage_errors_exit_1_with_one_line(argv, code, capsys):
     try:
         got = main(argv)

@@ -15,23 +15,23 @@ CHI2_99_DF4 = 13.2767
 
 class TestSinusoidalTable:
     def test_row_zero_alternates_zero_one(self):
-        table = sinusoidal_table(8, 6).values.data
+        table = sinusoidal_table(8, 6).data
         npt.assert_array_equal(table[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
     def test_first_pair_at_position_one(self):
-        table = sinusoidal_table(4, 4).values.data
+        table = sinusoidal_table(4, 4).data
         assert abs(table[1, 0] - 0.8414709848) < 1e-9  # sin(1)
         assert abs(table[1, 1] - np.cos(1.0)) < 1e-12
 
     def test_pairs_lie_on_unit_circle(self):
-        table = sinusoidal_table(16, 8).values.data
+        table = sinusoidal_table(16, 8).data
         for p in range(16):
             for i in range(0, 8, 2):
                 assert abs(table[p, i] ** 2 + table[p, i + 1] ** 2 - 1.0) < 1e-12
 
     def test_matches_direct_formula(self):
         c = 10
-        table = sinusoidal_table(12, c).values.data
+        table = sinusoidal_table(12, c).data
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = int(rng.integers(0, 12))
@@ -41,11 +41,11 @@ class TestSinusoidalTable:
             assert abs(table[p, 2 * i + 1] - np.cos(angle)) < 1e-12
 
     def test_values_bounded(self):
-        table = sinusoidal_table(32, 12).values.data
+        table = sinusoidal_table(32, 12).data
         assert np.all(table >= -1.0) and np.all(table <= 1.0)
 
     def test_odd_channel_count(self):
-        table = sinusoidal_table(4, 5).values.data
+        table = sinusoidal_table(4, 5).data
         assert table.shape == (4, 5)
         npt.assert_array_equal(table[0], [0.0, 1.0, 0.0, 1.0, 0.0])
 
@@ -86,13 +86,13 @@ class TestInject:
         table = sinusoidal_table(5, 3)
         q = tensor(np.zeros((3, 5)))
         out = inject(q, table)
-        npt.assert_array_equal(out.data, table.values.data.T)
+        npt.assert_array_equal(out.data, table.data.T)
 
     def test_zero_table_is_identity(self):
         rng = np.random.default_rng(3)
         q = tensor(rng.normal(size=(4, 6)))
         table = sinusoidal_table(6, 4)
-        table.values.data[:] = 0.0
+        table.data[:] = 0.0
         npt.assert_array_equal(inject(q, table).data, q.data)
 
     def test_matches_scalar_loop(self):
@@ -103,14 +103,14 @@ class TestInject:
         out = inject(tensor(q), table, index).data
         for c in range(3):
             for p in range(7):
-                assert out[c, p] == q[c, p] + table.values.data[index[p], c]
+                assert out[c, p] == q[c, p] + table.data[index[p], c]
 
     def test_additivity_exact_on_integer_data(self):
         rng = np.random.default_rng(5)
         q1 = rng.integers(-5, 6, size=(3, 4)).astype(float)
         q2 = rng.integers(-5, 6, size=(3, 4)).astype(float)
         table = sinusoidal_table(4, 3)
-        table.values.data[:] = rng.integers(-3, 4, size=(4, 3)).astype(float)
+        table.data[:] = rng.integers(-3, 4, size=(4, 3)).astype(float)
         lhs = inject(tensor(q1 + q2), table).data - inject(tensor(q2), table).data
         npt.assert_array_equal(lhs, q1)
 
@@ -133,7 +133,7 @@ class TestInject:
 
             return mul(out, out).mean()
 
-        report = gradcheck(f, [("q", q), ("table", table.values)])
+        report = gradcheck(f, [("q", q), ("table", table)])
         assert report.passed, report.format()
 
     def test_channel_mismatch_rejected(self):

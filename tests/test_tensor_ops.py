@@ -432,6 +432,26 @@ class TestElementwise:
             results.append([out.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()])
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("op, expected", [
+        (lambda x: mul(x, x), lambda d: 2.0 * d),
+        (lambda x: add(x, x), lambda d: np.full_like(d, 2.0)),
+        (lambda x: sub(x, x), np.zeros_like),
+        (lambda x: concat_channels([x, x]), lambda d: np.full_like(d, 2.0)),
+    ], ids=["mul", "add", "sub", "concat"])
+    def test_input_passed_twice_gets_both_terms(self, op, expected):
+        data = np.random.default_rng(22).normal(size=(2, 3, 4))
+        x = parameter(data)
+        op(x).sum().backward()
+        npt.assert_array_equal(x.grad, expected(data))
+
+    @pytest.mark.parametrize("op", [mul, add, sub, lambda a, b: concat_channels([a, b])],
+                             ids=["mul", "add", "sub", "concat"])
+    def test_constant_beside_parameter_gets_no_gradient(self, op):
+        for const_first in (True, False):
+            c, p = tensor(np.full((2, 3), 2.0)), parameter(np.full((2, 3), 3.0))
+            op(*((c, p) if const_first else (p, c))).sum().backward()
+            assert c.grad is None and p.grad is not None
+
 
 class TestUpsample2d:
     def test_factor_two_golden(self):
