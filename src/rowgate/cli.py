@@ -7,6 +7,7 @@ Subcommands: ``stats`` (label-raster distribution/entropy reports),
 key=value configuration and logs it as ``resolved.cfg``; no other flag
 changes a run setting, so ``--config <run>/resolved.cfg`` repeats the
 run.  Synthetic data draws from ``data.seed``, the rest from ``seed``.
+Every command checks and loads all its inputs before its first write.
 Exit codes: 0 success, 1 validation or data error, 2 numerical failure.
 """
 
@@ -25,7 +26,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Sample, synth_banded
 from .errors import ConfigError, NumericalError, RowGateError
 from .metrics import evaluate
-from .net import GATE_SITES, ToySegModel
+from .net import GATE_SITES, TRAIN_STREAM, ToySegModel, seed_stream
 from .rasters import (
     load_label_dir,
     read_label_map,
@@ -47,14 +48,13 @@ EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 
 
-def _resolve_and_log(args, out_dir: Path | None) -> dict[str, str]:
-    values = cfgmod.resolve(args.config, args.set)
+def _log_config(values: dict[str, str], out_dir: Path | None) -> None:
+    """Print the resolved config and write it to ``out_dir/resolved.cfg``."""
     text = cfgmod.render(values)
     print(text, end="")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "resolved.cfg").write_text(text)
-    return values
 
 
 def _parse_bands(spec: str) -> list[tuple[float, float]]:
@@ -109,14 +109,13 @@ def cmd_stats(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    values = _resolve_and_log(args, Path(args.out) if args.out else None)
-    text, ok = gradcheck.suite(
-        cfgmod.get_seed(values, "seed"),
-        cfgmod.build_gate_settings(values),
-        eps=cfgmod.get_float(values, "gradcheck.epsilon"),
-        tol=cfgmod.get_positive(values, "gradcheck.tolerance"),
-        model_tol=cfgmod.get_positive(values, "gradcheck.model_tolerance"),
-    )
+    values = cfgmod.resolve(args.config, args.set)
+    seed, gate = cfgmod.get_seed(values, "seed"), cfgmod.build_gate_settings(values)
+    eps = cfgmod.get_float(values, "gradcheck.epsilon")
+    tol = cfgmod.get_positive(values, "gradcheck.tolerance")
+    model_tol = cfgmod.get_positive(values, "gradcheck.model_tolerance")
+    _log_config(values, Path(args.out) if args.out else None)
+    text, ok = gradcheck.suite(seed, gate, eps=eps, tol=tol, model_tol=model_tol)
     print(text)
     if args.out:
         (Path(args.out) / "gradcheck.txt").write_text(text + "\n")
@@ -160,9 +159,10 @@ def _dataset_from_config(values: dict[str, str], split: str) -> list[Sample]:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    values = _resolve_and_log(args, out)
-    for split in ("train", "val"):
-        samples = _synth_split(values, split)
+    values = cfgmod.resolve(args.config, args.set)
+    splits = {split: _synth_split(values, split) for split in ("train", "val")}
+    _log_config(values, out)
+    for split, samples in splits.items():
         img_dir = out / split / "images"
         lab_dir = out / split / "labels"
         img_dir.mkdir(parents=True, exist_ok=True)
@@ -196,13 +196,14 @@ def _evaluate_to(out: Path, model: ToySegModel, val_set: list[Sample]) -> None:
 
 def cmd_train(args) -> int:
     out = Path(args.out)
-    values = _resolve_and_log(args, out)
+    values = cfgmod.resolve(args.config, args.set)
     model_cfg = cfgmod.build_model_config(values)
     train_cfg = cfgmod.build_train_config(values)
     model = ToySegModel.build(model_cfg)
     train_set = _dataset_from_config(values, "train")
     val_set = _dataset_from_config(values, "val")
-    train_rng = np.random.default_rng(np.random.SeedSequence(model_cfg.seed).spawn(1)[0])
+    train_rng = seed_stream(model_cfg.seed, TRAIN_STREAM)
+    _log_config(values, out)
 
     log = train(model, train_set, train_cfg, train_rng)
     log.to_csv(out / "train_log.csv")
@@ -220,31 +221,34 @@ def _load_model(values: dict[str, str], checkpoint_path) -> ToySegModel:
 
 def cmd_eval(args) -> int:
     out = Path(args.out)
-    values = _resolve_and_log(args, out)
+    values = cfgmod.resolve(args.config, args.set)
     model = _load_model(values, args.checkpoint)
-    _evaluate_to(out, model, _dataset_from_config(values, "val"))
+    val_set = _dataset_from_config(values, "val")
+    _log_config(values, out)
+    _evaluate_to(out, model, val_set)
     return EXIT_OK
 
 
 def cmd_attn(args) -> int:
     out = Path(args.out)
-    values = _resolve_and_log(args, out)
+    values = cfgmod.resolve(args.config, args.set)
     model = _load_model(values, args.checkpoint)
     sites = sorted(model.gates) if args.layer == "all" else [int(args.layer[1:])]
     for site in sites:
         if site not in model.gates:
             raise RowGateError(f"layer L{site} has no gate in this model")
     image = read_ppm(args.image).astype(np.float64) / 255.0
+    label_maps = load_label_dir(args.labels) if 5 in sites and args.labels else None
     with no_grad():
         _, maps = model.forward(image, training=False, collect_attention=True)
+    _log_config(values, out)
     for site in sites:
         amap = maps[site]
         write_attention_csv(out / f"attention_L{site}.csv", amap)
         write_attention_pgm(out / f"attention_L{site}.pgm", amap)
         print(f"L{site}: attention {amap.shape[0]} channels x {amap.shape[1]} rows -> "
               f"{out / f'attention_L{site}.csv'}")
-    if 5 in sites and args.labels:
-        label_maps = load_label_dir(args.labels)
+    if label_maps is not None:
         per_bin, _ = statsmod.axis_distribution(
             label_maps, model.config.num_classes, axis="height", bins=maps[5].shape[1]
         )

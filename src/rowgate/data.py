@@ -43,7 +43,7 @@ def nominal_bands(height: int, num_classes: int) -> list[tuple[int, int]]:
 
 
 def _band_edges(height: int, num_classes: int, jitter_rows: int, rng: np.random.Generator) -> np.ndarray:
-    edges = np.array([(k * height) // num_classes for k in range(num_classes + 1)])
+    edges = np.array([0] + [end for _, end in nominal_bands(height, num_classes)])
     if jitter_rows > 0:
         shifts = rng.integers(-jitter_rows, jitter_rows + 1, size=num_classes - 1)
         for k in range(1, num_classes):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import IGNORE_LABEL, Sample
+from .data import IGNORE_LABEL, Sample, nominal_bands
 from .errors import ShapeError
 from .parallel import fork_map
 from .tensor import no_grad
@@ -52,8 +52,7 @@ def iou_from_confusion(confusion: np.ndarray) -> tuple[np.ndarray, float]:
 
 def region_slices(height: int) -> list[slice]:
     """``REGION_COUNT`` horizontal bands that together cover every row."""
-    edges = [(i * height) // REGION_COUNT for i in range(REGION_COUNT + 1)]
-    return [slice(edges[i], edges[i + 1]) for i in range(REGION_COUNT)]
+    return [slice(top, bottom) for top, bottom in nominal_bands(height, REGION_COUNT)]
 
 
 def _image_counts(model, sample: Sample, k: int) -> list[np.ndarray]:

@@ -31,6 +31,13 @@ GATE_SITES = (1, 2, 3, 4, 5)
 TOTAL_STRIDE = 4
 LOGIT_STRIDE = 2  # stride of the decoder, the logits and the L5 gate rows
 
+# Each random stream of a run draws from its own child of SeedSequence(seed).
+CONV_STREAM, GATE_STREAM, TRAIN_STREAM, GRADCHECK_STREAM = range(4)
+
+
+def seed_stream(seed: int, child: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(child,)))
+
 
 @dataclass(frozen=True)
 class ToySegConfig:
@@ -98,8 +105,7 @@ class ToySegModel:
     @staticmethod
     def build(config: ToySegConfig) -> "ToySegModel":
         """Seeded construction; identical configs yield identical weights."""
-        root = np.random.SeedSequence(config.seed)
-        conv_rng, gate_rng = (np.random.default_rng(s) for s in root.spawn(2))
+        conv_rng, gate_rng = seed_stream(config.seed, CONV_STREAM), seed_stream(config.seed, GATE_STREAM)
         w1, w2, w3 = config.widths
         ctx_out = 3 * (w2 // 2)
         model = ToySegModel(config=config)

@@ -41,11 +41,6 @@ class SGDMomentum:
                 v += update
                 p.data -= lr * v
 
-    def zero_grad(self) -> None:
-        for group in self.groups:
-            for _, p in group.params:
-                p.grad = None
-
 
 def poly_lr(iteration: int, base_lr: float, max_iteration: int, power: float) -> float:
     """base_lr * (1 - iteration / max_iteration) ** power."""

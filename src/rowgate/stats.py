@@ -109,8 +109,11 @@ def _validate_bands(bands: Sequence[tuple[float, float]]) -> list[tuple[float, f
 
 
 def band_rows(height: int, bands: Sequence[tuple[float, float]]) -> list[tuple[int, int]]:
-    """Integer row ranges per band; adjacent bands share no rows."""
-    return [(int(np.floor(lo * height)), int(np.floor(hi * height))) for lo, hi in bands]
+    """Integer row ranges per band; adjacent bands share no rows.
+
+    An edge is ``fraction * height`` rounded to 9 decimals, then floored: 0.7 of 90 is 63.
+    """
+    return [tuple(int(np.floor(round(f * height, 9))) for f in (lo, hi)) for lo, hi in bands]
 
 
 def region_report(

@@ -574,6 +574,12 @@ class BatchNormState:
             running_var=np.ones(channels),
         )
 
+    def fold(self, mean_term: Array, var_term: Array) -> None:
+        """The running update: decay each buffer by ``1 - BN_MOMENTUM``, then add its term."""
+        for r, c in ((self.running_mean, mean_term), (self.running_var, var_term)):
+            r *= 1.0 - BN_MOMENTUM
+            r += c
+
 
 def batch_norm1d(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     """Normalize each channel of a (C, L) map across its length axis.
@@ -594,12 +600,8 @@ def batch_norm1d(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
         var = (xc * xc).sum(axis=1, keepdims=True) / length
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = xc * inv
-        m = BN_MOMENTUM
         unbiased = var[:, 0] * (length / (length - 1)) if length > 1 else var[:, 0]
-        state.running_mean *= 1.0 - m
-        state.running_mean += m * mu[:, 0]
-        state.running_var *= 1.0 - m
-        state.running_var += m * unbiased
+        state.fold(BN_MOMENTUM * mu[:, 0], BN_MOMENTUM * unbiased)
     else:
         inv = 1.0 / np.sqrt(state.running_var[:, None] + BN_EPS)
         xhat = (x.data - state.running_mean[:, None]) * inv

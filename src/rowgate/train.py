@@ -12,7 +12,7 @@ its parameter gradients and what its forward pass added to the
 batch-norm running buffers, which it starts from zero, so they hold
 exactly ``m * mean`` and ``m * var``.  The caller then adds the
 gradients into ``p.grad`` and folds each contribution into the real
-buffers with batch_norm1d's own two steps, ``r *= 1 - m; r += c``, image
+buffers with batch_norm1d's own update, ``BatchNormState.fold``, image
 by image in batch order, so a step is bitwise the same for any worker
 count.
 """
@@ -29,7 +29,7 @@ from .errors import ConfigError, DivergenceError
 from .net import ToySegModel
 from .optim import ParamGroup, SGDMomentum, poly_lr
 from .parallel import fork_map
-from .tensor import BN_MOMENTUM, scale, softmax_cross_entropy
+from .tensor import scale, softmax_cross_entropy, zero_grads
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,12 @@ def train(
             scale(loss, 1.0 / config.batch_size).backward()
             return loss.item(), [p.grad for p in params], [(n.running_mean, n.running_var) for n in norms]
         finally:
-            for p in params:
-                p.grad = None
+            zero_grads(params)
 
     log = TrainLog()
     for iteration in range(config.max_iteration):
         lr = poly_lr(iteration, config.base_lr, config.max_iteration, config.power)
-        optimizer.zero_grad()
+        zero_grads(params)
         indices = rng.integers(0, len(dataset), size=config.batch_size)
         jobs = list(zip(indices.tolist(), rng.spawn(config.batch_size)))
         buffers = [(n.running_mean, n.running_var) for n in norms]
@@ -148,10 +147,8 @@ def train(
             for p, g in zip(params, grads):
                 if g is not None:
                     p.accumulate_grad(g)
-            for (mean, var), (c_mean, c_var) in zip(buffers, contributions):
-                for r, c in ((mean, c_mean), (var, c_var)):
-                    r *= 1.0 - BN_MOMENTUM
-                    r += c
+            for norm, (c_mean, c_var) in zip(norms, contributions):
+                norm.fold(c_mean, c_var)
         if not np.isfinite(batch_loss):
             raise DivergenceError(
                 f"non-finite loss {batch_loss} at iteration {iteration} (lr={lr:g})"

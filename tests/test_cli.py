@@ -23,7 +23,7 @@ from rowgate.data import synth_banded
 from rowgate.errors import ConfigError
 from rowgate.net import ToySegConfig
 from rowgate.rasters import read_pgm, write_pgm, write_ppm
-from rowgate.train import TrainConfig
+from rowgate.train import TrainConfig, TrainLog
 
 FAST_MODEL = [
     "--set", "model.widths=4,6,6", "--set", "model.num_classes=4",
@@ -309,6 +309,36 @@ def test_bad_gradcheck_tolerance_is_caught_before_the_suite(key, value, monkeypa
     assert main(["gradcheck", "--set", f"{key}={value}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and len(err.strip().splitlines()) == 1
+
+
+# Each fails a check after its config resolves; the check must come before
+# the first write, so --out stays empty.
+@pytest.mark.parametrize("argv", [
+    ["attn", "--checkpoint", "{tmp}/missing.ckpt", "--image", "{tmp}/missing.ppm"],
+    ["eval", "--checkpoint", "{tmp}/missing.ckpt"],
+    ["train", "--set", "train.crop=0x0"],
+    ["synth", "--set", "data.n_train=0"],
+    ["gradcheck", "--set", "gradcheck.tolerance=nan"],
+], ids=["attn_no_checkpoint", "eval_no_checkpoint", "train_zero_crop", "synth_empty_split",
+        "gradcheck_tolerance_nan"])
+def test_failing_command_writes_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_train_draws_from_its_own_stream(tmp_path, monkeypatch):
+    """`rowgate train`'s generator replays neither init stream nor the gradcheck inputs."""
+    seen = []
+    monkeypatch.setattr("rowgate.cli.train", lambda model, data, config, rng: seen.append(rng) or TrainLog())
+    assert main(["train", "--out", str(tmp_path / "run"), *FAST_MODEL]) == 0
+    first = seen[0].random(3)
+    children = np.random.SeedSequence(0).spawn(4)  # FAST_MODEL runs at seed 0
+    for child in (0, 1, 3):  # conv init, gate init, gradcheck inputs
+        assert not np.array_equal(first, np.random.default_rng(children[child]).random(3)), child
 
 
 def test_resolved_config_repeats_a_directory_run(tmp_path):

@@ -14,7 +14,7 @@ from rowgate.metrics import evaluate
 from rowgate.net import ToySegConfig, ToySegModel
 from rowgate.optim import poly_lr
 from rowgate.parallel import fork_map
-from rowgate.tensor import mul, parameter, scale, softmax_cross_entropy, tensor
+from rowgate.tensor import mul, parameter, scale, softmax_cross_entropy, tensor, zero_grads
 from rowgate.train import TrainConfig, make_optimizer, train
 from test_gradcheck import force_workers
 
@@ -181,7 +181,7 @@ def one_image_at_a_time(model, data, config, rng):
     """Train in process, each image backpropagated straight into p.grad, on train's per-image streams."""
     optimizer = make_optimizer(model, config)
     for iteration in range(config.max_iteration):
-        optimizer.zero_grad()
+        zero_grads(p for _, p in model.named_parameters())
         indices = rng.integers(0, len(data), size=config.batch_size)
         for i, image_rng in zip(indices, rng.spawn(config.batch_size)):
             image, label = augment(data[int(i)], config.crop, image_rng)

@@ -141,6 +141,10 @@ class TestRegionReport:
                 flat = [r for lo, hi in rows for r in range(lo, hi)]
                 assert flat == list(range(h))
 
+    def test_band_rows_exact_fractions_land_on_exact_rows(self):
+        assert band_rows(90, equal_bands(10)) == [(9 * k, 9 * k + 9) for k in range(10)]
+        assert band_rows(90, [(0, 0.7), (0.7, 1)]) == [(0, 63), (63, 90)]
+
     def test_conditioning_never_increases_entropy(self):
         rng = np.random.default_rng(4)
         for trial in range(20):
