@@ -19,7 +19,7 @@ from rowgate.train import TrainConfig, train
 HEIGHT, WIDTH = 96, 48
 train_set = synth_banded(seed=0, n_images=80, height=HEIGHT, width=WIDTH, num_classes=6)
 val_set = synth_banded(seed=1, n_images=20, height=HEIGHT, width=WIDTH, num_classes=6)
-train_config = TrainConfig(max_iteration=250, batch_size=4, crop=(HEIGHT, WIDTH))
+train_config = TrainConfig(max_iteration=250, batch_size=4)
 
 
 def run(gate_layers):

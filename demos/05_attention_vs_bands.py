@@ -27,7 +27,7 @@ config = ToySegConfig(
 )
 model = ToySegModel.build(config)
 print("training with the class-logit gate only (L5)...")
-train(model, train_set, TrainConfig(max_iteration=250, batch_size=4, crop=(HEIGHT, WIDTH)),
+train(model, train_set, TrainConfig(max_iteration=250, batch_size=4),
       np.random.default_rng(0))
 report = evaluate(model, val_set)
 print(f"validation mIoU: {100 * report.miou:.2f}\n")

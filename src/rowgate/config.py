@@ -7,7 +7,9 @@ once: ``DEFAULTS`` renders it from the dataclass or function that
 declares it (``DECLARED``), and only keys with no library default are
 literal.  ``render`` emits a canonical sorted form that re-parses to the
 identical mapping; ``render_model`` renders only the keys that shape the
-model, the text checkpoint digests are computed from.
+model, the text checkpoint digests are computed from.  A setting with one
+value in use is a constant where it is used, and what the input fixes
+(crop, input channels) is no key: runs train on whole RGB images.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .train import TrainConfig
 # owner's own default, and the builders parse each value as its type.
 DECLARED: dict[str, tuple[object, str]] = {
     "seed": (ToySegConfig, "seed"),
-    "model.in_channels": (ToySegConfig, "in_channels"),
     "model.widths": (ToySegConfig, "widths"),
     "model.gate_layers": (ToySegConfig, "gate_layers"),
     "model.num_classes": (synth_banded, "num_classes"),
@@ -40,12 +41,7 @@ DECLARED: dict[str, tuple[object, str]] = {
     "gate.jitter": (GateSettings, "jitter_max"),
     "gate.dropout": (GateSettings, "dropout_p"),
     "train.lr": (TrainConfig, "base_lr"),
-    "train.momentum": (TrainConfig, "momentum"),
-    "train.weight_decay_main": (TrainConfig, "weight_decay_main"),
-    "train.weight_decay_attn": (TrainConfig, "weight_decay_attn"),
-    "train.power": (TrainConfig, "power"),
     "train.batch_size": (TrainConfig, "batch_size"),
-    "train.crop": (TrainConfig, "crop"),
     "data.noise": (synth_banded, "noise"),
     "gradcheck.epsilon": (gradcheck, "eps"),
     "gradcheck.tolerance": (gradcheck, "tol"),
@@ -53,21 +49,18 @@ DECLARED: dict[str, tuple[object, str]] = {
 _LIBRARY_DEFAULTS = {
     key: inspect.signature(owner).parameters[name].default for key, (owner, name) in DECLARED.items()
 }
-_SEPARATOR = {"train.crop": "x"}  # tuple keys joined by anything but ","
 
 
-def _as_text(key: str, value) -> str:
+def _as_text(value) -> str:
     if isinstance(value, frozenset):
         value = tuple(sorted(value))
-    if isinstance(value, tuple):
-        return _SEPARATOR.get(key, ",").join(map(str, value))
-    return str(value)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 # Every known key with its default (as text).  A run's resolved config is
 # this table overlaid with file values and flag overrides.
 DEFAULTS: dict[str, str] = {
-    **{key: _as_text(key, default) for key, default in _LIBRARY_DEFAULTS.items()},
+    **{key: _as_text(default) for key, default in _LIBRARY_DEFAULTS.items()},
     "train.max_iteration": "400",
     "data.dir": "",  # empty: synthesize data.* images of model.num_classes classes
     "data.seed": "0",
@@ -75,7 +68,6 @@ DEFAULTS: dict[str, str] = {
     "data.n_val": "50",
     "data.height": "96",
     "data.width": "48",
-    "gradcheck.model_tolerance": "1e-3",
 }
 
 
@@ -168,12 +160,12 @@ def get_positive(values: dict[str, str], key: str) -> float:
     return value
 
 
-def get_ints(values: dict[str, str], key: str, sep: str) -> list[int]:
+def get_ints(values: dict[str, str], key: str) -> list[int]:
     text = values[key].strip()
     try:
-        return [int(v) for v in text.split(sep)] if text else []
+        return [int(v) for v in text.split(",")] if text else []
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected integers separated by {sep!r}, got {text!r}") from exc
+        raise ConfigError(f"{key}: expected integers separated by ',', got {text!r}") from exc
 
 
 # -- builders ----------------------------------------------------------------
@@ -185,7 +177,7 @@ def _parse(values: dict[str, str], key: str):
         return get_seed(values, key)
     default = _LIBRARY_DEFAULTS[key]
     if isinstance(default, (tuple, frozenset)):
-        return type(default)(get_ints(values, key, _SEPARATOR.get(key, ",")))
+        return type(default)(get_ints(values, key))
     return {int: get_int, float: get_float, str: lambda v, k: v[k]}[type(default)](values, key)
 
 

@@ -95,19 +95,10 @@ def synth_banded(
     return samples
 
 
-def augment(sample: Sample, crop: tuple[int, int], rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Random horizontal flip plus random crop to ``crop`` (h, w)."""
+def augment(sample: Sample, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Random horizontal flip; training sees whole images, so every row keeps its height."""
     image, label = sample.image, sample.label
-    ch, cw = crop
-    h, w = label.shape
-    if ch > h or cw > w:
-        raise ConfigError(f"crop {crop} larger than image {label.shape}")
     if rng.random() < 0.5:
         image = image[:, :, ::-1]
         label = label[:, ::-1]
-    top = int(rng.integers(0, h - ch + 1))
-    left = int(rng.integers(0, w - cw + 1))
-    return (
-        np.ascontiguousarray(image[:, top : top + ch, left : left + cw]),
-        np.ascontiguousarray(label[top : top + ch, left : left + cw]),
-    )
+    return np.ascontiguousarray(image), np.ascontiguousarray(label)

@@ -42,6 +42,7 @@ _DENOMINATOR_FLOOR = 1e-4
 _MIN_FORK_ENTRIES = 256
 
 RELU_MARGIN = 1e-3  # smallest |relu input| a drawn case may have
+MODEL_TOLERANCE = 1e-3  # the toy model's tolerance; the gate cases take the caller's
 MAX_DRAWS = 1000  # draws before a case gives up
 
 
@@ -230,9 +231,7 @@ def toy_model_case(model: ToySegModel, rng: np.random.Generator) -> Case:
                 model.named_parameters())
 
 
-def suite(
-    seed: int, gate: attn.GateSettings, eps: float, tol: float, model_tol: float
-) -> tuple[str, bool]:
+def suite(seed: int, gate: attn.GateSettings, eps: float, tol: float) -> tuple[str, bool]:
     """Gate module per positional mode, then ``toy_model(seed, gate)``: (report text, all passed).
 
     Gate case i draws from ``default_rng(seed + i)``, the toy model's
@@ -248,7 +247,7 @@ def suite(
     model = toy_model(seed, gate)
     rng = seed_stream(seed, GRADCHECK_STREAM)
     case, margin = draw_clear(lambda: toy_model_case(model, rng))
-    cases.append(("toy-model all-gates", case, model_tol))
+    cases.append(("toy-model all-gates", case, MODEL_TOLERANCE))
 
     lines, ok = [], True
     for name, case, case_tol in cases:

@@ -10,6 +10,9 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor
 
+MOMENTUM = 0.9
+POLY_POWER = 0.9
+
 
 @dataclass
 class ParamGroup:
@@ -22,10 +25,9 @@ class ParamGroup:
 
 @dataclass
 class SGDMomentum:
-    """Heavy-ball SGD: v <- mu v + (g + wd p); p <- p - lr v."""
+    """Heavy-ball SGD: v <- MOMENTUM v + (g + wd p); p <- p - lr v."""
 
     groups: Sequence[ParamGroup]
-    momentum: float = 0.9
     _velocity: dict[int, np.ndarray] = field(default_factory=dict)
 
     def step(self, lr: float) -> None:
@@ -37,13 +39,13 @@ class SGDMomentum:
                 if v is None:
                     v = np.zeros_like(p.data)
                     self._velocity[id(p)] = v
-                v *= self.momentum
+                v *= MOMENTUM
                 v += update
                 p.data -= lr * v
 
 
-def poly_lr(iteration: int, base_lr: float, max_iteration: int, power: float) -> float:
-    """base_lr * (1 - iteration / max_iteration) ** power."""
+def poly_lr(iteration: int, base_lr: float, max_iteration: int) -> float:
+    """base_lr * (1 - iteration / max_iteration) ** POLY_POWER."""
     if not 0 <= iteration <= max_iteration:
         raise ConfigError(f"iteration {iteration} outside [0, {max_iteration}]")
-    return base_lr * (1.0 - iteration / max_iteration) ** power
+    return base_lr * (1.0 - iteration / max_iteration) ** POLY_POWER

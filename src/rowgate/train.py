@@ -3,7 +3,7 @@
 Each step draws its sample indices from the caller's generator and then
 spawns one child generator per image from it (``Generator.spawn``,
 numpy's way to make independent streams for parallel work).  Image j's
-flip, crop, dropout and positional jitter draw only from child j, and
+flip, dropout and positional jitter draw only from child j, and
 batch norm is per image, so an image's loss, gradients and batch
 statistics are a function of the weights, its sample and its stream
 alone.  The images of a step are therefore fanned out by ``fork_map``:
@@ -31,33 +31,23 @@ from .optim import ParamGroup, SGDMomentum, poly_lr
 from .parallel import fork_map
 from .tensor import scale, softmax_cross_entropy, zero_grads
 
+WEIGHT_DECAY_MAIN = 5e-4  # the main network's weight decay
+WEIGHT_DECAY_ATTN = 1e-4  # the gate modules'
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     max_iteration: int
     base_lr: float = 1e-2
-    momentum: float = 0.9
-    weight_decay_main: float = 5e-4
-    weight_decay_attn: float = 1e-4
-    power: float = 0.9
     batch_size: int = 4
-    crop: tuple[int, int] = (96, 48)
 
     def __post_init__(self):
         if self.max_iteration < 0:
             raise ConfigError(f"max_iteration must be >= 0, got {self.max_iteration}")
-        for name in ("base_lr", "momentum", "weight_decay_main", "weight_decay_attn"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        if not 0 < self.power <= 1:
-            raise ConfigError(f"power must be in (0, 1], got {self.power}")
+        if not (np.isfinite(self.base_lr) and self.base_lr >= 0):
+            raise ConfigError(f"base_lr must be finite and >= 0, got {self.base_lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if len(self.crop) != 2:
-            raise ConfigError(f"crop must be HxW, got {'x'.join(map(str, self.crop))}")
-        if min(self.crop) < 1:
-            raise ConfigError(f"crop extents must be >= 1, got {self.crop[0]}x{self.crop[1]}")
 
 
 @dataclass
@@ -79,15 +69,12 @@ class TrainLog:
                 writer.writerow([row[0], f"{row[1]:.10g}", f"{row[2]:.10g}"])
 
 
-def make_optimizer(model: ToySegModel, config: TrainConfig) -> SGDMomentum:
+def make_optimizer(model: ToySegModel) -> SGDMomentum:
     """Two weight-decay groups: the main network and the gate modules."""
-    return SGDMomentum(
-        groups=[
-            ParamGroup("main", model.main_parameters(), config.weight_decay_main),
-            ParamGroup("attn", model.gate_parameters(), config.weight_decay_attn),
-        ],
-        momentum=config.momentum,
-    )
+    return SGDMomentum([
+        ParamGroup("main", model.main_parameters(), WEIGHT_DECAY_MAIN),
+        ParamGroup("attn", model.gate_parameters(), WEIGHT_DECAY_ATTN),
+    ])
 
 
 def train(
@@ -107,7 +94,7 @@ def train(
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
-    optimizer = make_optimizer(model, config)
+    optimizer = make_optimizer(model)
     params = [p for _, p in model.named_parameters()]
     norms = [norm for _, gate in model.gates.values() for norm in (gate.norm1, gate.norm2)]
 
@@ -122,7 +109,7 @@ def train(
             norm.running_mean = np.zeros_like(norm.running_mean)
             norm.running_var = np.zeros_like(norm.running_var)
         try:
-            image, label = augment(dataset[index], config.crop, image_rng)
+            image, label = augment(dataset[index], image_rng)
             loss = softmax_cross_entropy(model.forward(image, training=True, rng=image_rng), label)
             scale(loss, 1.0 / config.batch_size).backward()
             return loss.item(), [p.grad for p in params], [(n.running_mean, n.running_var) for n in norms]
@@ -131,7 +118,7 @@ def train(
 
     log = TrainLog()
     for iteration in range(config.max_iteration):
-        lr = poly_lr(iteration, config.base_lr, config.max_iteration, config.power)
+        lr = poly_lr(iteration, config.base_lr, config.max_iteration)
         zero_grads(params)
         indices = rng.integers(0, len(dataset), size=config.batch_size)
         jobs = list(zip(indices.tolist(), rng.spawn(config.batch_size)))

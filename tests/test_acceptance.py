@@ -56,7 +56,7 @@ def _train_state(job):
     height, width = DATA_SHAPE
     model = ToySegModel.build(_config(seed, layers))
     train_set = synth_banded(seed=2 * seed, n_images=200, height=height, width=width)
-    train_config = TrainConfig(max_iteration=400, batch_size=4, crop=DATA_SHAPE)
+    train_config = TrainConfig(max_iteration=400, batch_size=4)
     start = time.monotonic()
     train(model, train_set, train_config, np.random.default_rng(seed))
     return dict(model.state_arrays()), time.monotonic() - start

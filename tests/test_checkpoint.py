@@ -61,7 +61,7 @@ class TestRoundTrip:
     def test_trained_model_reproduces_miou_bitwise(self, tmp_path):
         model = small_model()
         data = synth_banded(seed=1, n_images=4, height=16, width=16, num_classes=4)
-        train(model, data, TrainConfig(max_iteration=10, batch_size=2, crop=(16, 16)),
+        train(model, data, TrainConfig(max_iteration=10, batch_size=2),
               np.random.default_rng(0))
         before = evaluate(model, data)
 

@@ -115,7 +115,7 @@ class TestForkMap:
 
         def trained(seed):
             model = small_model()
-            train(model, data, TrainConfig(max_iteration=3, batch_size=2, crop=(16, 16)),
+            train(model, data, TrainConfig(max_iteration=3, batch_size=2),
                   np.random.default_rng(seed))
             return [(name, a.tobytes()) for name, a in model.state_arrays()]
 
@@ -179,22 +179,22 @@ def state_bits(model):
 
 def one_image_at_a_time(model, data, config, rng):
     """Train in process, each image backpropagated straight into p.grad, on train's per-image streams."""
-    optimizer = make_optimizer(model, config)
+    optimizer = make_optimizer(model)
     for iteration in range(config.max_iteration):
         zero_grads(p for _, p in model.named_parameters())
         indices = rng.integers(0, len(data), size=config.batch_size)
         for i, image_rng in zip(indices, rng.spawn(config.batch_size)):
-            image, label = augment(data[int(i)], config.crop, image_rng)
+            image, label = augment(data[int(i)], image_rng)
             loss = softmax_cross_entropy(model.forward(image, training=True, rng=image_rng), label)
             scale(loss, 1.0 / config.batch_size).backward()
-        optimizer.step(poly_lr(iteration, config.base_lr, config.max_iteration, config.power))
+        optimizer.step(poly_lr(iteration, config.base_lr, config.max_iteration))
 
 
 class TestParallelTrain:
     @pytest.mark.parametrize("batch", [3, 4])
     def test_training_is_bitwise_the_same_for_any_worker_count(self, monkeypatch, batch):
         data = synth_banded(seed=6, n_images=5, height=16, width=16)
-        config = TrainConfig(max_iteration=3, batch_size=batch, crop=(16, 16))
+        config = TrainConfig(max_iteration=3, batch_size=batch)
         runs = []
         for n in (1, 2, 3):
             forks = force_workers(monkeypatch, n)
@@ -213,13 +213,13 @@ class TestParallelTrain:
     def test_one_image_does_not_fork(self, monkeypatch):
         forks = force_workers(monkeypatch, 3)
         train(small_model(), synth_banded(seed=6, n_images=2, height=16, width=16),
-              TrainConfig(max_iteration=2, batch_size=1, crop=(16, 16)), np.random.default_rng(0))
+              TrainConfig(max_iteration=2, batch_size=1), np.random.default_rng(0))
         assert forks == []
 
     @pytest.mark.parametrize("bad", [(0, 2), (1, 3), (3,)], ids=["callers_chunk", "middle", "last"])
     def test_a_failing_sample_raises_the_sequential_error(self, monkeypatch, bad):
         # three workers take batch positions [0], [1] and [2, 3]; the first bad
-        # position has a two-channel image, a later one a label too short to crop
+        # position has a two-channel image, a later one a label too short for its image
         data = synth_banded(seed=6, n_images=16, height=16, width=16)
         indices = np.random.default_rng(4).integers(0, len(data), size=4)
         assert len(set(indices)) == 4
@@ -233,7 +233,7 @@ class TestParallelTrain:
             model = small_model()
             before = [(name, a, a.copy()) for name, a in model.state_arrays()]
             with pytest.raises(ShapeError) as exc:
-                train(model, data, TrainConfig(max_iteration=2, batch_size=4, crop=(16, 16)),
+                train(model, data, TrainConfig(max_iteration=2, batch_size=4),
                       np.random.default_rng(4))
             messages.append(str(exc.value))
             assert len(forks) == n - 1
@@ -249,10 +249,10 @@ class TestParallelTrain:
         for n in (1, 2):
             force_workers(monkeypatch, n)
             with pytest.raises(DivergenceError) as exc:
-                train(small_model(), data, TrainConfig(max_iteration=50, base_lr=1e6, batch_size=2,
-                                                       crop=(16, 16)), np.random.default_rng(0))
+                train(small_model(), data, TrainConfig(max_iteration=50, base_lr=1e6, batch_size=2),
+                      np.random.default_rng(0))
             messages.append(str(exc.value))
             no_child_left()
         assert messages[1] == messages[0]
         it = int(re.fullmatch(r"non-finite loss nan at iteration (\d+) \(lr=.*\)", messages[0]).group(1))
-        assert messages[0] == f"non-finite loss nan at iteration {it} (lr={poly_lr(it, 1e6, 50, 0.9):g})"
+        assert messages[0] == f"non-finite loss nan at iteration {it} (lr={poly_lr(it, 1e6, 50):g})"

@@ -656,7 +656,7 @@ class TestSGDMomentum:
     def test_single_step_matches_hand_computation(self):
         p = parameter(np.array([1.0, -2.0]))
         p.grad = np.array([0.5, 0.5])
-        opt = SGDMomentum([ParamGroup("main", [("p", p)], weight_decay=0.1)], momentum=0.9)
+        opt = SGDMomentum([ParamGroup("main", [("p", p)], weight_decay=0.1)])
         opt.step(lr=0.1)
         # v = g + wd*p = [0.6, 0.3]; p = p - 0.1*v
         npt.assert_allclose(p.data, [1.0 - 0.06, -2.0 - 0.03], atol=1e-15)
@@ -680,10 +680,10 @@ class TestSGDMomentum:
 
 class TestPolyLR:
     def test_schedule_endpoints_and_midpoint(self):
-        assert poly_lr(0, 1e-2, 1000, 0.9) == 1e-2
-        assert poly_lr(1000, 1e-2, 1000, 0.9) == 0.0
-        npt.assert_allclose(poly_lr(500, 1e-2, 1000, 0.9), 5.358867312681466e-3, rtol=1e-12)
+        assert poly_lr(0, 1e-2, 1000) == 1e-2
+        assert poly_lr(1000, 1e-2, 1000) == 0.0
+        npt.assert_allclose(poly_lr(500, 1e-2, 1000), 5.358867312681466e-3, rtol=1e-12)
 
     def test_out_of_range_iteration(self):
         with pytest.raises(ConfigError):
-            poly_lr(-1, 1e-2, 10, 0.9)
+            poly_lr(-1, 1e-2, 10)

@@ -34,10 +34,10 @@ def tiny_data(seed=0, n=4, size=16):
 class TestSchedule:
     def test_logged_lr_equals_poly_schedule(self):
         model = tiny_model()
-        config = TrainConfig(max_iteration=12, batch_size=1, crop=(16, 16))
+        config = TrainConfig(max_iteration=12, batch_size=1)
         log = train(model, tiny_data(), config, np.random.default_rng(0))
         for it, lr in zip(log.iterations, log.lrs):
-            assert lr == poly_lr(it, config.base_lr, config.max_iteration, config.power)
+            assert lr == poly_lr(it, config.base_lr, config.max_iteration)
 
     def test_log_csv_round_trip(self, tmp_path):
         log = TrainLog()
@@ -53,8 +53,7 @@ class TestSchedule:
 class TestWeightDecayGroups:
     def test_grouped_decay_is_inspectable(self):
         model = tiny_model(layers=(1, 4))
-        config = TrainConfig(max_iteration=1, crop=(16, 16))
-        optimizer = make_optimizer(model, config)
+        optimizer = make_optimizer(model)
         decays = {g.name: g.weight_decay for g in optimizer.groups}
         assert decays == {"main": 5e-4, "attn": 1e-4}
         names = {g.name: [n for n, _ in g.params] for g in optimizer.groups}
@@ -102,7 +101,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             model = tiny_model(layers=(1,))
-            config = TrainConfig(max_iteration=8, batch_size=2, crop=(16, 16))
+            config = TrainConfig(max_iteration=8, batch_size=2)
             train(model, tiny_data(), config, np.random.default_rng(7))
             runs.append({n: p.data.copy() for n, p in model.named_parameters()})
         for name in runs[0]:
@@ -112,7 +111,7 @@ class TestDeterminism:
         finals = []
         for seed in (0, 1):
             model = tiny_model(layers=(1,))
-            config = TrainConfig(max_iteration=8, batch_size=2, crop=(16, 16))
+            config = TrainConfig(max_iteration=8, batch_size=2)
             train(model, tiny_data(), config, np.random.default_rng(seed))
             finals.append(model.named_parameters()[0][1].data.copy())
         assert not np.array_equal(finals[0], finals[1])
@@ -121,17 +120,13 @@ class TestDeterminism:
 class TestFailureModes:
     def test_divergence_aborts_with_diagnostic(self):
         model = tiny_model()
-        config = TrainConfig(max_iteration=50, base_lr=1e6, batch_size=1, crop=(16, 16))
+        config = TrainConfig(max_iteration=50, base_lr=1e6, batch_size=1)
         with pytest.raises(DivergenceError):
             train(model, tiny_data(), config, np.random.default_rng(0))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train(tiny_model(), [], TrainConfig(max_iteration=1), np.random.default_rng(0))
-
-    def test_invalid_power_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(max_iteration=1, power=1.5)
 
 
 class TestOverfit:
@@ -141,7 +136,7 @@ class TestOverfit:
             ToySegConfig(num_classes=6, gate_layers=frozenset(), gate=TINY_GATE, seed=0)
         )
         data = synth_banded(seed=11, n_images=1, height=64, width=64, noise=0.3)
-        config = TrainConfig(max_iteration=300, batch_size=1, crop=(64, 64))
+        config = TrainConfig(max_iteration=300, batch_size=1)
         log = train(model, data, config, np.random.default_rng(5))
         report = evaluate(model, data)
         assert report.pixel_accuracy > 0.99, f"accuracy {report.pixel_accuracy}"
