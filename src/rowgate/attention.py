@@ -221,23 +221,24 @@ def attention_from_context(
             f"({config.in_channels}, {config.coarse_height})"
         )
 
-    def maybe_inject(q: Tensor, layer: int) -> Tensor:
-        if config.pe_mode == "none" or config.pe_layer != layer:
-            return q
-        table = params.pe_table
-        if table is None:
-            raise ConfigError("positional mode set but no table was initialized")
-        index = None
-        if training and config.jitter_max > 0:
-            index = posenc.jitter(config.coarse_height, config.jitter_max, rng)
-        return posenc.inject(q, table, index)
+    layer = 0 if config.pe_mode == "none" else config.pe_layer  # 0: no encoding
+    table = params.pe_table
+    if layer and table is None:
+        raise ConfigError("positional mode set but no table was initialized")
 
     q = dropout(z_hat, config.dropout_p, rng, training)
-    q = maybe_inject(q, 1)
+    # drawn after dropout's mask, as no op before the injection draws
+    index = None
+    if layer and training and config.jitter_max > 0:
+        index = posenc.jitter(config.coarse_height, config.jitter_max, rng)
+    if layer == 1:
+        q = posenc.inject(q, table, index)
     q = relu(batch_norm1d(conv1d(q, params.conv1), params.norm1, training))
-    q = maybe_inject(q, 2)
+    if layer == 2:
+        q = posenc.inject(q, table, index)
     q = relu(batch_norm1d(conv1d(q, params.conv2), params.norm2, training))
-    q = maybe_inject(q, 3)
+    if layer == 3:
+        q = posenc.inject(q, table, index)
     q = sigmoid(conv1d(q, params.conv3))
     return clip_open_unit(q)
 

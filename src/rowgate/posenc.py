@@ -8,12 +8,13 @@ row-index jitter, and the additive injection of table rows into a
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, node, parameter
+from .tensor import Tensor, node, parameter, tensor
 
 # Frequency base of the sinusoid family: position p, channel pair i maps to
 # sin(p / BASE^(2i/C)) and cos(p / BASE^(2i/C)).
@@ -32,7 +33,7 @@ def sinusoidal_table(positions: int, channels: int) -> Tensor:
     table = np.empty((positions, channels))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle[:, : table[:, 1::2].shape[1]])
-    return Tensor(table)
+    return tensor(table)
 
 
 def learnable_table(positions: int, channels: int, rng: np.random.Generator) -> Tensor:
@@ -58,18 +59,39 @@ def jitter(positions: int, jitter_max: int, rng: Optional[np.random.Generator]) 
     return np.clip(base + shift, 0, positions - 1)
 
 
+@lru_cache(maxsize=None)
+def _positions(length: int) -> np.ndarray:
+    """The read-only identity index 0 .. length-1."""
+    index = np.arange(length, dtype=np.intp)
+    index.flags.writeable = False
+    return index
+
+
 def inject(q: Tensor, table: Tensor, index: Optional[np.ndarray] = None) -> Tensor:
-    """Add table rows to a (channels x positions) map: out[:, p] += T[index[p], :]."""
+    """Add table rows to a (channels x positions) map: out[:, p] += T[index[p], :].
+
+    ``index`` defaults to the positions 0 .. L-1; either way each position
+    must name a table row, and a given index must hold integers.
+    """
     if q.data.ndim != 2:
         raise ShapeError(f"inject expects a rank-2 map, got {q.shape}")
-    c, length = q.shape
-    if table.shape[1] != c:
-        raise ConfigError(f"positional table has {table.shape[1]} channels, feature map has {c}")
+    c, length = q.data.shape
+    rows, channels = table.data.shape
+    if channels != c:
+        raise ConfigError(f"positional table has {channels} channels, feature map has {c}")
     if index is None:
-        index = np.arange(length, dtype=np.intp)
-    index = np.asarray(index, dtype=np.intp)
-    if index.shape != (length,):
-        raise ShapeError(f"index length {index.shape} does not match {length} positions")
+        if length > rows:
+            raise ShapeError(f"{length} positions exceed the positional table's {rows} rows")
+        index = _positions(length)
+    else:
+        index = np.asarray(index)
+        if index.shape != (length,):
+            raise ShapeError(f"index length {index.shape} does not match {length} positions")
+        if index.dtype.kind not in "iu":
+            raise ShapeError(f"index must hold integers, got dtype {index.dtype}")
+        if length and (index.min() < 0 or index.max() >= rows):
+            raise ShapeError(f"index outside the positional table's rows [0, {rows})")
+        index = index.astype(np.intp, copy=False)
 
     def d_table(g: np.ndarray) -> np.ndarray:
         dt = np.zeros_like(table.data)

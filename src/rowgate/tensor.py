@@ -42,7 +42,11 @@ convolves along height and width.  Both pad by repeating the edge values,
 so a map constant along an axis stays constant along it and no border
 signature marks absolute position.  Padding is hand-rolled (``_pad`` and
 its adjoint ``_unpad``) because the gate convolves maps of a few rows,
-where ``np.pad``'s per-call overhead costs more than the convolution.
+where ``np.pad``'s per-call overhead costs more than the convolution:
+one buffer and a few slice copies, from a plan of slices cached per
+shape (``_pad_plan``) as the convolution's geometry is (``_conv_plan``).
+Gather-based and ``np.concatenate`` pads measured 1.5-7x slower on the
+backbone's maps, so both ranks share this one pad.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -59,16 +65,19 @@ from .errors import ConfigError, RowGateError, ShapeError
 
 Array = np.ndarray
 OPEN_UNIT_MARGIN = 1e-12  # clip_open_unit keeps values this far inside (0, 1)
+_OPEN_LO, _OPEN_HI = OPEN_UNIT_MARGIN, 1.0 - OPEN_UNIT_MARGIN
 BN_MOMENTUM = 0.1  # weight of the current batch in batch-norm running statistics
 BN_EPS = 1e-5  # added to the batch-norm variance before the square root
+_BN_KEEP = 1.0 - BN_MOMENTUM
 
 
 class Tensor:
     """A float64 array plus an optional gradient buffer.
 
-    Tensors are built either as leaves (``tensor`` / ``parameter``) or as
-    op outputs carrying their parents and a backward closure (constants
-    inside ``no_grad``).  Data is
+    Tensors are built either as leaves (``tensor`` / ``parameter``, which
+    convert their input) or by ``node`` as op outputs carrying their
+    parents and a backward closure (constants inside ``no_grad``); the
+    constructor stores ``data`` as given.  Data is
     treated as immutable once wrapped; optimizers mutate parameter data
     in place between graph constructions, never inside one.
     """
@@ -83,7 +92,7 @@ class Tensor:
         backward: Optional[Callable[[Array], None]] = None,
         op: str = "",
     ):
-        self.data = np.asarray(data, dtype=np.float64, order="C")
+        self.data = data
         self.grad: Optional[Array] = None
         self.requires_grad = requires_grad
         self.op = op
@@ -159,13 +168,13 @@ class Tensor:
 
 
 def tensor(data) -> Tensor:
-    """Wrap array-like data as a constant leaf."""
-    return Tensor(np.asarray(data, dtype=np.float64))
+    """Wrap array-like data as a constant leaf, sharing it when already C-ordered float64."""
+    return Tensor(np.asarray(data, dtype=np.float64, order="C"))
 
 
 def parameter(data) -> Tensor:
-    """Wrap array-like data as a trainable leaf."""
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+    """Wrap array-like data as a trainable leaf, sharing it when already C-ordered float64."""
+    return Tensor(np.asarray(data, dtype=np.float64, order="C"), True)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -191,14 +200,19 @@ def no_grad():
         _grad_enabled = before
 
 
+_requires_grad = attrgetter("requires_grad")
+
+
 def node(data: Array, op: str, *inputs: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
     """An op's output over ``(input, vjp)`` pairs, or a constant inside ``no_grad``.
 
-    Its backward closure adds ``vjp(g)`` into each input that requires a
-    gradient, in input order.
+    ``data`` is stored as given: every op computes it with numpy from
+    C-ordered float64 inputs, which gives C-ordered float64.  Its backward
+    closure adds ``vjp(g)`` into each input that requires a gradient, in
+    input order.
     """
     if not _grad_enabled:
-        return Tensor(data, op=op)
+        return Tensor(data, False, (), None, op)
 
     def backward(g: Array) -> None:
         for t, vjp in inputs:
@@ -206,7 +220,7 @@ def node(data: Array, op: str, *inputs: tuple[Tensor, Callable[[Array], Array]])
                 t.accumulate_grad(vjp(g))
 
     parents, _ = zip(*inputs)
-    return Tensor(data, any([t.requires_grad for t in parents]), parents, backward, op)
+    return Tensor(data, any(map(_requires_grad, parents)), parents, backward, op)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +274,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != x.size:
+    shape = tuple(map(int, shape))
+    if prod(shape) != x.data.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     return node(x.data.reshape(shape), "reshape", (x, lambda g: g.reshape(x.shape)))
 
@@ -289,7 +303,8 @@ def sigmoid(x: Tensor) -> Tensor:
     # Stable in both tails: never exponentiates a positive argument.
     d = x.data
     e = np.exp(-np.abs(d))
-    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    r = 1.0 + e
+    s = np.where(d >= 0, 1.0 / r, e / r)
     return node(s, "sigmoid", (x, lambda g: g * s * (1.0 - s)))
 
 
@@ -299,9 +314,9 @@ def clip_open_unit(x: Tensor) -> Tensor:
     Float64 sigmoid saturates to exactly 0.0 or 1.0 for |z| beyond ~36;
     this keeps gating factors strictly inside (0, 1) for any finite input.
     """
-    lo, hi = OPEN_UNIT_MARGIN, 1.0 - OPEN_UNIT_MARGIN
-    inside = (x.data > lo) & (x.data < hi)
-    return node(np.clip(x.data, lo, hi), "clip_open_unit", (x, lambda g: g * inside))
+    d = x.data
+    return node(np.clip(d, _OPEN_LO, _OPEN_HI), "clip_open_unit",
+                (x, lambda g: g * ((d > _OPEN_LO) & (d < _OPEN_HI))))
 
 
 # ---------------------------------------------------------------------------
@@ -309,34 +324,49 @@ def clip_open_unit(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _pad(a: Array, pads: Sequence[int]) -> Array:
+@lru_cache(maxsize=None)
+def _pad_plan(shape: tuple, pads: tuple) -> tuple:
+    """Slices of ``_pad`` and ``_unpad`` for one shape, cached like ``_conv_plan``.
+
+    The padded shape, the interior, the edge copies of ``_pad`` (axis by
+    axis over the full extent of the others, so corners come out right)
+    and, per padded axis, the crop and the two folds of ``_unpad``.
+    """
+    lead = len(shape) - len(pads)
+    padded = shape[:lead] + tuple(n + 2 * p for n, p in zip(shape[lead:], pads))
+    interior = (slice(None),) * lead + tuple(slice(p, p + n) for n, p in zip(shape[lead:], pads))
+    copies, folds = [], []
+    for axis, p in enumerate(pads, lead):
+        n = shape[axis]
+        pre = (slice(None),) * axis
+        if p:
+            copies += [(pre + (slice(0, p),), pre + (slice(p, p + 1),)),
+                       (pre + (slice(p + n, None),), pre + (slice(p + n - 1, p + n),))]
+        folds.append((axis, pre + (slice(p, p + n),), bool(p), pre + (0,), pre + (slice(0, p),),
+                      pre + (-1,), pre + (slice(p + n, None),)))
+    return padded, interior, tuple(copies), tuple(folds)
+
+
+def _pad(a: Array, pads: tuple) -> Array:
     """Pad the trailing ``len(pads)`` axes of ``a`` by ``pads[i]`` per side, repeating the edges.
 
     One buffer, bitwise ``np.pad``'s ``edge`` mode, also for pads wider than the extent.
     """
-    lead = a.ndim - len(pads)
-    out = np.empty(a.shape[:lead] + tuple(n + 2 * p for n, p in zip(a.shape[lead:], pads)))
-    out[(slice(None),) * lead + tuple(slice(p, p + n) for n, p in zip(a.shape[lead:], pads))] = a
-    # axis by axis over the full extent of the others, so corners come out right
-    for axis, p in enumerate(pads, lead):
-        if p:
-            n = a.shape[axis]
-            pre = (slice(None),) * axis
-            out[pre + (slice(0, p),)] = out[pre + (slice(p, p + 1),)]
-            out[pre + (slice(p + n, None),)] = out[pre + (slice(p + n - 1, p + n),)]
+    padded, interior, copies, _ = _pad_plan(a.shape, pads)
+    out = np.empty(padded)
+    out[interior] = a
+    for dst, src in copies:
+        out[dst] = out[src]
     return out
 
 
-def _unpad(g: Array, pads: Sequence[int]) -> Array:
-    """Adjoint of ``_pad``: crop the interior, folding the pads into the edges."""
-    lead = g.ndim - len(pads)
-    for axis, p in enumerate(pads, lead):
-        n = g.shape[axis] - 2 * p
-        pre = (slice(None),) * axis
-        d = g[pre + (slice(p, p + n),)].copy()
-        if p:
-            d[pre + (0,)] += g[pre + (slice(0, p),)].sum(axis=axis)
-            d[pre + (-1,)] += g[pre + (slice(p + n, None),)].sum(axis=axis)
+def _unpad(g: Array, shape: tuple, pads: tuple) -> Array:
+    """Adjoint of ``_pad`` from ``shape``: crop the interior, folding the pads into the edges."""
+    for axis, keep, has_pad, first, head, last, tail in _pad_plan(shape, pads)[3]:
+        d = g[keep].copy()
+        if has_pad:
+            d[first] += g[head].sum(axis=axis)
+            d[last] += g[tail].sum(axis=axis)
         g = d
     return g
 
@@ -374,9 +404,9 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, dilation: int, o
     per tap, accumulated from zeros with the bias added last; the backward
     pass feeds BLAS the operand layouts ``np.tensordot`` would.
     """
-    w = weight.data
+    w, x_shape = weight.data, x.data.shape
     pads, flat, out_shape, win_shape, channels_last, taps = _conv_plan(
-        op, x.data.shape, w.shape, bias.data.shape, stride, dilation
+        op, x_shape, w.shape, bias.data.shape, stride, dilation
     )
     c_in = w.shape[1]
     xp = _pad(x.data, pads)
@@ -390,7 +420,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, dilation: int, o
         dxp = np.zeros_like(xp)
         for k, win in taps:
             dxp[win] += np.dot(w[k].T, g).reshape(win_shape)
-        return _unpad(dxp, pads)
+        return _unpad(dxp, x_shape, pads)
 
     def d_weight(g: Array) -> Array:
         g = g.reshape(flat)
@@ -460,24 +490,25 @@ def pool_width(x: Tensor, mode: str = "avg") -> Tensor:
 
     else:
         y = x.data.max(axis=2, keepdims=True)
-        mask = x.data == y  # ties split the gradient
-        counts = mask.sum(axis=2, keepdims=True)
 
         def vjp(g: Array) -> Array:
-            return mask * (g / counts)
+            mask = x.data == y  # ties split the gradient
+            return mask * (g / mask.sum(axis=2, keepdims=True))
 
     return node(y, f"pool_width_{mode}", (x, vjp))
 
 
 @lru_cache(maxsize=None)
-def _resize_plan(n_in: int, n_out: int) -> tuple[Array, Array, Array]:
-    """Read-only (taps, weights, matrix) resizing one axis from n_in to n_out.
+def _resize_plan(n_in: int, n_out: int, axis: int, ndim: int) -> tuple[Array, tuple, Array]:
+    """Read-only (anchor taps, later taps, matrix) resizing axis ``axis`` of a rank-``ndim`` map.
 
     Output j is ``sum_k weights[j, k] * x[taps[j, k]]`` over K taps (unused
-    taps repeat the first with weight 0); ``matrix`` is the same map as a
-    dense (n_out, n_in) array whose rows sum to 1.  Shrinking averages
-    adaptive windows; growing or keeping the size blends two neighbours at
-    align-to-centers positions, so equal sizes are the identity.
+    taps repeat the first with weight 0); the anchor taps are ``taps[:, 0]``
+    and the later taps are one ``(taps[:, k], weights[:, k])`` pair per k > 0,
+    the weights shaped to broadcast along ``axis``.  ``matrix`` is the same
+    map as a dense (n_out, n_in) array whose rows sum to 1.  Shrinking
+    averages adaptive windows; growing or keeping the size blends two
+    neighbours at align-to-centers positions, so equal sizes are the identity.
     """
     j = np.arange(n_out)
     if n_out < n_in:
@@ -495,27 +526,29 @@ def _resize_plan(n_in: int, n_out: int) -> tuple[Array, Array, Array]:
         weights = np.stack([1.0 - t, t], axis=1)
     matrix = np.zeros((n_out, n_in))
     np.add.at(matrix, (j[:, None], taps), weights)
-    for a in (taps, weights, matrix):
+    shape = [1] * ndim
+    shape[axis] = -1
+    anchor = taps[:, 0].copy()
+    later = tuple((taps[:, k].copy(), weights[:, k].reshape(shape)) for k in range(1, taps.shape[1]))
+    for a in (anchor, matrix, *(a for pair in later for a in pair)):
         a.flags.writeable = False
-    return taps, weights, matrix
+    return anchor, later, matrix
 
 
-def _resize(x: Tensor, sizes: dict[int, int], op: str) -> Tensor:
-    """Resize ``x`` along each axis of ``sizes`` in turn, as one graph node.
+def _resize(x: Tensor, sizes: tuple[tuple[int, int], ...], op: str) -> Tensor:
+    """Resize ``x`` along each ``(axis, size)`` of ``sizes`` in turn, as one graph node.
 
     Each output is anchored at its first tap, ``a + sum_k w_k (x_k - a)``,
     so constants come out as the identical constant bit-for-bit; the
     backward pass is one matmul per axis with the plan matrix.
     """
-    plans = [(axis, _resize_plan(x.shape[axis], int(n))) for axis, n in sizes.items()]
     y = x.data
-    for axis, (taps, weights, _) in plans:
-        shape = [1] * y.ndim
-        shape[axis] = -1
-        anchor = y.take(taps[:, 0], axis=axis)
+    plans = [(axis, _resize_plan(y.shape[axis], n, axis, y.ndim)) for axis, n in sizes]
+    for axis, (anchor_taps, later, _) in plans:
+        anchor = y.take(anchor_taps, axis=axis)
         acc = anchor
-        for k in range(1, taps.shape[1]):
-            acc = acc + weights[:, k].reshape(shape) * (y.take(taps[:, k], axis=axis) - anchor)
+        for taps, weights in later:
+            acc = acc + weights * (y.take(taps, axis=axis) - anchor)
         y = acc
 
     def vjp(g: Array) -> Array:
@@ -538,7 +571,7 @@ def resample_height(x: Tensor, h_target: int) -> Tensor:
     h_target = int(h_target)
     if h_target < 1:
         raise ConfigError(f"resample_height: target height must be >= 1, got {h_target}")
-    return _resize(x, {1: h_target}, "resample_height")
+    return _resize(x, ((1, h_target),), "resample_height")
 
 
 def upsample2d(x: Tensor, h_out: int, w_out: int) -> Tensor:
@@ -548,7 +581,7 @@ def upsample2d(x: Tensor, h_out: int, w_out: int) -> Tensor:
     _, h, w = x.shape
     if h_out < h or w_out < w:
         raise ConfigError(f"upsample2d: target {h_out}x{w_out} smaller than input {h}x{w}")
-    return _resize(x, {1: h_out, 2: w_out}, "upsample2d")
+    return _resize(x, ((1, int(h_out)), (2, int(w_out))), "upsample2d")
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +609,11 @@ class BatchNormState:
 
     def fold(self, mean_term: Array, var_term: Array) -> None:
         """The running update: decay each buffer by ``1 - BN_MOMENTUM``, then add its term."""
-        for r, c in ((self.running_mean, mean_term), (self.running_var, var_term)):
-            r *= 1.0 - BN_MOMENTUM
-            r += c
+        mean, var = self.running_mean, self.running_var
+        mean *= _BN_KEEP
+        mean += mean_term
+        var *= _BN_KEEP
+        var += var_term
 
 
 def batch_norm1d(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
@@ -587,16 +622,17 @@ def batch_norm1d(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
     Training mode normalizes with the current statistics and updates the
     running buffers in place; eval mode applies the frozen running stats.
     """
-    if x.data.ndim != 2:
+    d = x.data
+    if d.ndim != 2:
         raise ShapeError(f"batch_norm1d input must be rank 2, got {x.shape}")
-    c, length = x.shape
-    if state.gamma.shape != (c,):
-        raise ShapeError(f"batch_norm1d: state has {state.gamma.shape[0]} channels, input has {c}")
+    c, length = d.shape
     gamma, beta = state.gamma, state.beta
+    if gamma.data.shape != (c,):
+        raise ShapeError(f"batch_norm1d: state has {gamma.data.shape[0]} channels, input has {c}")
 
     if training:
-        mu = x.data.sum(axis=1, keepdims=True) / length
-        xc = x.data - mu
+        mu = d.sum(axis=1, keepdims=True) / length
+        xc = d - mu
         var = (xc * xc).sum(axis=1, keepdims=True) / length
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = xc * inv
@@ -604,7 +640,7 @@ def batch_norm1d(x: Tensor, state: BatchNormState, training: bool) -> Tensor:
         state.fold(BN_MOMENTUM * mu[:, 0], BN_MOMENTUM * unbiased)
     else:
         inv = 1.0 / np.sqrt(state.running_var[:, None] + BN_EPS)
-        xhat = (x.data - state.running_mean[:, None]) * inv
+        xhat = (d - state.running_mean[:, None]) * inv
 
     y = gamma.data[:, None] * xhat + beta.data[:, None]
 

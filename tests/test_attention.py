@@ -9,9 +9,13 @@ from rowgate import posenc
 from rowgate.errors import ConfigError, ShapeError
 from rowgate.gradcheck import gate_case, gradcheck
 from rowgate.tensor import (
+    BN_EPS,
+    BN_MOMENTUM,
+    OPEN_UNIT_MARGIN,
     batch_norm1d,
     clip_open_unit,
     conv1d,
+    no_grad,
     pool_width,
     relu,
     relu_input_margin,
@@ -341,3 +345,114 @@ class TestFullPipelineGradients:
         assert relu_input_margin(case.f()) > 1e-3  # stay clear of the relu kink
         report = gradcheck(case.f, case.params, eps=1e-5, tol=1e-4)
         assert report.passed, report.format()
+
+
+# ---------------------------------------------------------------------------
+# the gate forward restated in plain numpy
+# ---------------------------------------------------------------------------
+
+
+def _np_resize_rows(z, n_out):
+    """Anchored height resize: adaptive window means to shrink, align-to-centers blend to grow."""
+    n_in = z.shape[1]
+    j = np.arange(n_out)
+    if n_out < n_in:
+        starts = j * n_in // n_out
+        counts = -(-((j + 1) * n_in) // n_out) - starts
+        taps = [np.where(k < counts, starts + k, starts) for k in range(counts.max())]
+        weights = [(k < counts) / counts for k in range(counts.max())]
+    else:
+        pos = np.clip((j + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+        lo = np.minimum(np.floor(pos).astype(int), n_in - 1)
+        taps, weights = [lo, np.minimum(lo + 1, n_in - 1)], [1.0 - (pos - lo), pos - lo]
+    anchor = z[:, taps[0]]
+    out = anchor
+    for tap, weight in zip(taps[1:], weights[1:]):
+        out = out + weight * (z[:, tap] - anchor)
+    return out
+
+
+def _np_conv_rows(q, kernel, bias):
+    """Edge-padded same-length convolution along the rows, one product per tap."""
+    length = q.shape[1]
+    pad = (kernel.shape[2] - 1) // 2
+    padded = np.pad(q, ((0, 0), (pad, pad)), mode="edge")
+    y = np.zeros((kernel.shape[0], length))
+    for k in range(kernel.shape[2]):
+        y += np.dot(kernel[:, :, k], padded[:, k:k + length])
+    return y + bias[:, None]
+
+
+def _np_batch_norm(q, norm, training, buffers):
+    """Batch norm of a (C, L) map; in training mode returns the updated running buffers too."""
+    mean, var = buffers
+    if training:
+        n = q.shape[1]
+        mu = q.sum(axis=1, keepdims=True) / n
+        centred = q - mu
+        v = (centred * centred).sum(axis=1, keepdims=True) / n
+        xhat = centred * (1.0 / np.sqrt(v + BN_EPS))
+        unbiased = v[:, 0] * (n / (n - 1)) if n > 1 else v[:, 0]
+        buffers = (mean * (1.0 - BN_MOMENTUM) + BN_MOMENTUM * mu[:, 0],
+                   var * (1.0 - BN_MOMENTUM) + BN_MOMENTUM * unbiased)
+    else:
+        xhat = (q - mean[:, None]) * (1.0 / np.sqrt(var[:, None] + BN_EPS))
+    return norm.gamma.data[:, None] * xhat + norm.beta.data[:, None], buffers
+
+
+def _np_gate(x_l, x_h, params, config, training, buffers):
+    """(gated x_h, full-height gate, running buffers after the pass) for an avg-pooled gate."""
+    anchor = x_l.max(axis=2, keepdims=True)
+    z = (anchor + (x_l - anchor).sum(axis=2, keepdims=True) / x_l.shape[2])[:, :, 0]
+    q = _np_resize_rows(z, config.coarse_height)
+    layer = 0 if config.pe_mode == "none" else config.pe_layer
+
+    def encode(q, at):
+        return q + params.pe_table.data[:q.shape[1]].T if layer == at else q
+
+    q = encode(q, 1)
+    q, b1 = _np_batch_norm(_np_conv_rows(q, params.conv1.kernel.data, params.conv1.bias.data),
+                           params.norm1, training, buffers[0])
+    q = encode(np.where(q > 0.0, q, 0.0), 2)
+    q, b2 = _np_batch_norm(_np_conv_rows(q, params.conv2.kernel.data, params.conv2.bias.data),
+                           params.norm2, training, buffers[1])
+    q = encode(np.where(q > 0.0, q, 0.0), 3)
+    d = _np_conv_rows(q, params.conv3.kernel.data, params.conv3.bias.data)
+    e = np.exp(-np.abs(d))
+    a_hat = np.clip(np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), OPEN_UNIT_MARGIN, 1.0 - OPEN_UNIT_MARGIN)
+    a = _np_resize_rows(a_hat, x_h.shape[1])
+    return a[:, :, None] * x_h, a, (b1, b2)
+
+
+class TestForwardIsItsPlainArithmetic:
+    """``attention.forward`` is bitwise its arithmetic restated in plain numpy.
+
+    The reference is computed in-process, never stored, because BLAS bits
+    differ across hosts.  The configurations are the gradcheck suite's gate
+    cases, drawn as it draws them.
+    """
+
+    @pytest.mark.parametrize("recorded", [True, False], ids=["graph", "no_grad"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("i, pe_mode", enumerate(["none", "sinusoidal", "learnable"]))
+    def test_bitwise(self, i, pe_mode, training, recorded):
+        config = small_config(out_channels=6, pe_mode=pe_mode)
+        rng = np.random.default_rng(i)
+        params = attn.init_params(config, rng)
+        x_l, x_h = rng.normal(size=(8, 8, 6)), rng.normal(size=(6, 8, 6))
+        norms = (params.norm1, params.norm2)
+        for norm in norms:  # running statistics away from their initial zeros and ones
+            norm.running_mean[:] = rng.normal(size=norm.running_mean.shape)
+            norm.running_var[:] = rng.uniform(0.5, 2.0, size=norm.running_var.shape)
+        buffers = [(n.running_mean.copy(), n.running_var.copy()) for n in norms]
+        gated, a, after = _np_gate(x_l, x_h, params, config, training, buffers)
+        if recorded:
+            out, attention = attn.forward(tensor(x_l), tensor(x_h), params, config, training=training)
+        else:
+            with no_grad():
+                out, attention = attn.forward(tensor(x_l), tensor(x_h), params, config, training=training)
+        assert out.data.tobytes() == gated.tobytes()
+        assert attention.data.tobytes() == a.tobytes()
+        for norm, (mean, var) in zip(norms, after):
+            assert norm.running_mean.tobytes() == mean.tobytes()
+            assert norm.running_var.tobytes() == var.tobytes()

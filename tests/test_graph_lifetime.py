@@ -136,6 +136,16 @@ class TestNoGrad:
         assert not constant.requires_grad
         assert constant._parents == () and constant._backward is None
 
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_op_output_is_c_ordered_float64(self, name):
+        # node stores an op's data as given, so each op must compute it in this layout
+        recorded = OPS[name](np.random.default_rng(0))
+        with no_grad():
+            constant = OPS[name](np.random.default_rng(0))
+        for out in (recorded, constant):
+            assert type(out.data) is np.ndarray and out.data.dtype == np.float64
+            assert out.data.flags.c_contiguous
+
     def test_flag_is_restored_after_an_error(self):
         with pytest.raises(ValueError):
             with no_grad():

@@ -143,3 +143,23 @@ class TestInject:
     def test_bad_index_length_rejected(self):
         with pytest.raises(ShapeError):
             inject(tensor(np.zeros((3, 5))), sinusoidal_table(5, 3), np.arange(4))
+
+    @pytest.mark.parametrize("index, message", [
+        ([0, 1, 2, 4], "outside"),  # one past the last of 4 rows
+        ([0, 1, -1, 2], "outside"),  # would read a row from the end
+        ([0.0, 1.0, 2.0, 3.0], "integers"),  # would be truncated
+        ([0.5, 1.0, 2.0, 3.0], "integers"),
+        ([True, False, True, False], "integers"),  # would be a mask
+    ])
+    def test_index_must_name_table_rows(self, index, message):
+        with pytest.raises(ShapeError, match=message):
+            inject(tensor(np.zeros((3, 4))), sinusoidal_table(4, 3), np.array(index))
+
+    def test_identity_index_longer_than_table_rejected(self):
+        with pytest.raises(ShapeError, match="exceed"):
+            inject(tensor(np.zeros((3, 6))), sinusoidal_table(4, 3))
+
+    def test_map_shorter_than_table_reads_its_first_rows(self):
+        table = sinusoidal_table(6, 3)
+        out = inject(tensor(np.zeros((3, 4))), table)
+        npt.assert_array_equal(out.data, table.data[:4].T)

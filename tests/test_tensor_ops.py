@@ -10,6 +10,7 @@ from rowgate.errors import ConfigError, ShapeError
 from rowgate.gradcheck import gradcheck
 from rowgate.optim import ParamGroup, SGDMomentum, poly_lr
 from rowgate.tensor import (
+    BN_MOMENTUM,
     BatchNormState,
     ConvParams1D,
     Tensor,
@@ -386,6 +387,26 @@ class TestBatchNorm:
         state = BatchNormState.create(2)
         batch_norm1d(tensor(rng.normal(loc=3.0, size=(2, 32))), state, training=True)
         assert not np.allclose(state.running_mean, 0.0)
+
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    def test_running_update_is_pinned_bitwise(self, length):
+        # r <- r * (1 - momentum) + momentum * term, with the unbiased variance as
+        # the variance term; at length 1 that is the biased one, which is zero
+        rng = np.random.default_rng(length)
+        state = BatchNormState.create(3)
+        state.running_mean[:] = rng.normal(size=3)
+        state.running_var[:] = rng.uniform(0.5, 2.0, size=3)
+        mean0, var0 = state.running_mean.copy(), state.running_var.copy()
+        x = rng.normal(size=(3, length))
+        batch_norm1d(tensor(x), state, training=True)
+        mean = x.sum(axis=1) / length
+        centred = x - mean[:, None]
+        var = (centred * centred).sum(axis=1) / length
+        unbiased = var * (length / (length - 1)) if length > 1 else var
+        assert_bitwise(state.running_mean, mean0 * (1.0 - BN_MOMENTUM) + BN_MOMENTUM * mean)
+        assert_bitwise(state.running_var, var0 * (1.0 - BN_MOMENTUM) + BN_MOMENTUM * unbiased)
+        if length == 1:
+            assert_bitwise(state.running_var, var0 * (1.0 - BN_MOMENTUM))
 
 
 class TestElementwise:
