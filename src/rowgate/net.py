@@ -187,8 +187,8 @@ class ToySegModel:
                 f"expected ({self.config.in_channels}, H, W) input, got {image.shape}"
             )
         h, w = image.shape[1:]
-        if h % TOTAL_STRIDE or w % TOTAL_STRIDE:
-            raise ShapeError(f"input extents must be divisible by {TOTAL_STRIDE}, got {h}x{w}")
+        if not h or not w or h % TOTAL_STRIDE or w % TOTAL_STRIDE:
+            raise ShapeError(f"input extents must be positive multiples of {TOTAL_STRIDE}, got {h}x{w}")
         maps: Optional[dict[int, np.ndarray]] = {} if collect_attention else None
         ly = self.layers
 

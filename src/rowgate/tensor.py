@@ -402,7 +402,10 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, dilation: int, o
 
     Padding is ``dilation * (K - 1) / 2`` per side on each axis.  One GEMM
     per tap, accumulated from zeros with the bias added last; the backward
-    pass feeds BLAS the operand layouts ``np.tensordot`` would.
+    pass feeds BLAS the operand layouts ``np.tensordot`` would.  The graph
+    keeps no padded copy of the input: the weight gradient pads ``x.data``
+    again, which the backward reads as it was wrapped because tensor data
+    is immutable, so the same bytes are padded and every bit is the same.
     """
     w, x_shape = weight.data, x.data.shape
     pads, flat, out_shape, win_shape, channels_last, taps = _conv_plan(
@@ -417,13 +420,14 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, dilation: int, o
 
     def d_input(g: Array) -> Array:
         g = g.reshape(flat)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros(_pad_plan(x_shape, pads)[0])
         for k, win in taps:
             dxp[win] += np.dot(w[k].T, g).reshape(win_shape)
         return _unpad(dxp, x_shape, pads)
 
     def d_weight(g: Array) -> Array:
         g = g.reshape(flat)
+        xp = _pad(x.data, pads)
         dw = np.empty_like(w)
         for k, win in taps:
             dw[k] = np.dot(g, xp[win].transpose(channels_last).reshape(-1, c_in))

@@ -6,12 +6,14 @@ and closure once used, and refuses to sweep a released graph again.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from rowgate import config as cfgmod
 from rowgate import metrics
+from rowgate import tensor as engine
 from rowgate.attention import GateSettings
 from rowgate.data import synth_banded
 from rowgate.errors import RowGateError
@@ -46,6 +48,7 @@ from rowgate.tensor import (
     sum_all,
     upsample2d,
 )
+from test_tensor_ops import assert_bitwise, conv1d_np_pad_reference, conv2d_np_pad_reference, output_and_grads
 
 
 def _p(rng, *shape):
@@ -216,6 +219,47 @@ class TestBackwardReleases:
         hidden.sum().backward()
         with pytest.raises(RowGateError, match="'sigmoid'"):
             mul(hidden, hidden).sum().backward()
+
+
+class TestConvKeepsNoPaddedInput:
+    """A recorded convolution lets its padded input go with the forward and pads again in backward."""
+
+    @pytest.fixture
+    def pads(self, monkeypatch):
+        """Weak references to every array ``_pad`` returns while the test runs."""
+        refs, pad = [], engine._pad
+
+        def recording_pad(a, widths):
+            out = pad(a, widths)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(engine, "_pad", recording_pad)
+        return refs
+
+    @pytest.mark.parametrize("k, length", [(3, 6), (5, 2)])
+    def test_conv1d(self, pads, k, length):
+        rng = np.random.default_rng(k * 10 + length)
+        x, kernel, bias = _p(rng, 3, length), _p(rng, 4, 3, k), _p(rng, 4)
+        y = conv1d(x, ConvParams1D(kernel, bias))
+        assert len(pads) == 1 and pads[0]() is None
+        assert y._backward is not None
+        y, g, grads = output_and_grads(y, [x, kernel, bias], rng)
+        expected = conv1d_np_pad_reference(x.data, kernel.data, bias.data, g, "replicate")
+        for actual, want in zip([y] + grads, expected):
+            assert_bitwise(actual, want)
+
+    @pytest.mark.parametrize("stride, dilation, h, w", [(1, 1, 5, 6), (2, 1, 6, 5), (1, 4, 3, 3), (2, 4, 3, 3)])
+    def test_conv2d(self, pads, stride, dilation, h, w):
+        rng = np.random.default_rng(3000 + stride * 100 + dilation * 10 + h)
+        x, weight, bias = _p(rng, 2, h, w), _p(rng, 3, 2, 3, 3), _p(rng, 3)
+        y = conv2d(x, weight, bias, stride=stride, dilation=dilation)
+        assert len(pads) == 1 and pads[0]() is None
+        assert y._backward is not None
+        y, g, grads = output_and_grads(y, [x, weight, bias], rng)
+        expected = conv2d_np_pad_reference(x.data, weight.data, bias.data, g, stride, dilation, "replicate")
+        for actual, want in zip([y] + grads, expected):
+            assert_bitwise(actual, want)
 
 
 class TestCallSites:

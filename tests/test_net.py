@@ -41,8 +41,9 @@ class TestBuild:
 
     def test_indivisible_extent_rejected(self):
         model = ToySegModel.build(tiny_config())
-        with pytest.raises(ShapeError):
-            model.forward(np.zeros((2, 18, 16)))
+        for shape in [(2, 18, 16), (2, 0, 0), (2, 4, 0), (2, 0, 8)]:
+            with pytest.raises(ShapeError):
+                model.forward(np.zeros(shape))
 
     def test_baseline_has_fewest_parameters(self):
         baseline = param_count(ToySegModel.build(tiny_config()))
