@@ -5,7 +5,8 @@ model configuration text (``config.render_model``), u32 blob count, then per blo
 name length, the UTF-8 name, a u8 rank, u32 extents, and the payload as
 little-endian float64.  Loading verifies the digest so a checkpoint can
 only be restored into the configuration that produced it; an unreadable,
-truncated or otherwise malformed file raises ``DataError``.
+truncated or otherwise malformed file, or one naming a blob twice, raises
+``DataError``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ def _parse_blobs(data: bytes, path, config_text: str) -> dict[str, np.ndarray]:
         offset += 2
         name = data[offset : offset + name_len].decode()
         offset += name_len
+        if name in arrays:
+            raise DataError(f"{path}: blob {name!r} appears more than once in checkpoint")
         (ndim,) = struct.unpack_from("<B", data, offset)
         offset += 1
         shape = struct.unpack_from(f"<{ndim}I", data, offset)

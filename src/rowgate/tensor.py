@@ -18,13 +18,18 @@ returns per operand the fold that sums its gradient back over width.
 The graph lives only as long as something can read it.
 ``Tensor.backward()`` walks it once in reverse topological order and
 releases it as it goes: once a node's closure has run, the node drops
-its gradient and the closure, with every array the closure kept, so
-only leaves keep ``.grad`` and a second sweep through the same graph
-raises.  Inside ``no_grad()`` no graph is recorded at all: every op
-returns a constant without parents or closure, bitwise the data it
-returns outside, so each intermediate array is freed as soon as the next
-op has read it.  Evaluation and finite-difference probes run there;
-training and graph inspection (``relu_input_margin``) run outside it.
+its gradient, the closure, with every array the closure kept, and its
+parent links.  Nothing but the sweep's own order then holds a node whose
+consumers are all swept, so an activation dies as soon as the last node
+reading it has been swept, and the live set shrinks as the sweep walks
+from the loss back to the stem.  Only leaves keep ``.grad``, and a walk
+through a swept node (a second sweep, or ``relu_input_margin``) raises.
+Inside ``no_grad()`` no graph is recorded at all: every op returns a
+constant without parents or closure, bitwise the data it returns
+outside, so each intermediate array is freed as soon as the next op has
+read it.  Evaluation and finite-difference probes run there; training
+and graph inspection (``relu_input_margin``, before the sweep) run
+outside it.
 
 Averaging and interpolating ops are anchored: width pooling computes
 ``m + mean(x - m)`` with ``m`` the row maximum, and height resampling
@@ -112,14 +117,16 @@ class Tensor:
 
     def accumulate_grad(self, g: Array) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g + 0.0  # one pass, bitwise 0.0 + g: a new array, -0.0 becomes 0.0
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode sweep seeding d(self)/d(self) = 1, releasing the graph as it goes.
 
-        Each interior node drops its gradient and backward closure once the
-        closure has run, so the graph can be swept only once.
+        Each interior node drops its gradient, backward closure and parent
+        links once the closure has run, so an activation dies when the last
+        node reading it is swept, and the graph can be swept only once.
         """
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -131,22 +138,19 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._parents and node._backward is None:
-                raise RowGateError(
-                    f"backward through a released graph: the {node.op!r} node was already "
-                    "swept by an earlier backward(); run the forward again"
-                )
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in _unswept_parents(node, "backward"):
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         self.accumulate_grad(np.ones_like(self.data))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 if node.grad is not None:
                     node._backward(node.grad)
                 node.grad = node._backward = None
+                node._parents = _SWEPT
 
     def sum(self) -> "Tensor":
         return sum_all(self)
@@ -165,6 +169,19 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
+
+
+_SWEPT = None  # a swept node's parent links
+
+
+def _unswept_parents(node: Tensor, walk: str) -> tuple[Tensor, ...]:
+    """``node``'s parents, or a ``RowGateError`` naming its op when a backward() swept it."""
+    if node._parents is _SWEPT:
+        raise RowGateError(
+            f"{walk} through a released graph: the {node.op!r} node was already "
+            "swept by an earlier backward(); run the forward again"
+        )
+    return node._parents
 
 
 def tensor(data) -> Tensor:
@@ -721,7 +738,9 @@ def relu_input_margin(root: Tensor) -> float:
     Finite-difference gradient checks are only meaningful away from the
     relu kink; callers can resample inputs when this margin is tiny.
     Returns inf when the graph contains no relu, as for any output of
-    ``no_grad``, which records no graph.
+    ``no_grad``, which records no graph.  Call it before ``backward()``:
+    a swept node has dropped its parent links, and reaching one raises
+    ``RowGateError``.
     """
     margin = np.inf
     seen: set[int] = set()
@@ -731,7 +750,8 @@ def relu_input_margin(root: Tensor) -> float:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        parents = _unswept_parents(node, "relu_input_margin")
         if node.op == "relu":
-            margin = min(margin, float(np.abs(node._parents[0].data).min()))
-        stack.extend(node._parents)
+            margin = min(margin, float(np.abs(parents[0].data).min()))
+        stack.extend(parents)
     return margin

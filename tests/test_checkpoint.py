@@ -58,6 +58,12 @@ class TestRoundTrip:
                 load_checkpoint(cut, "cfg")
         assert sorted(load_checkpoint(whole, "cfg")) == ["b", "scalar", "w"]
 
+    def test_repeated_blob_name_rejected(self, tmp_path):
+        path = tmp_path / "twice.ckpt"
+        save_checkpoint(path, [("w", np.zeros(2)), ("w", np.ones(2)), ("b", np.zeros(1))], "cfg")
+        with pytest.raises(DataError, match="'w' appears more than once"):
+            load_checkpoint(path, "cfg")
+
     def test_trained_model_reproduces_miou_bitwise(self, tmp_path):
         model = small_model()
         data = synth_banded(seed=1, n_images=4, height=16, width=16, num_classes=4)

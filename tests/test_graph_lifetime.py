@@ -1,8 +1,9 @@
 """When the autodiff graph is recorded and when it is released.
 
 Inside ``no_grad`` every op returns a constant with bitwise the data it
-returns in grad mode; ``backward()`` frees each interior node's gradient
-and closure once used, and refuses to sweep a released graph again.
+returns in grad mode; ``backward()`` frees each interior node's gradient,
+closure and parent links once used, so activations die during the sweep,
+and refuses to walk a released graph again.
 """
 
 import tracemalloc
@@ -197,12 +198,50 @@ class TestBackwardReleases:
             p.grad = None
 
         loss = _toy_loss(model)
+        interior = [t for t in _graph(loss) if t._parents]  # a swept root reaches nothing
         loss.backward()
         for p, g in zip(params, kept):
             assert p.grad.tobytes() == g.tobytes()
-        interior = [t for t in _graph(loss) if t._parents]
         assert len(interior) > 50
         assert all(t.grad is None and t._backward is None for t in interior)
+        assert all(t._parents is None for t in interior)
+
+    def test_every_interior_array_is_dead_when_the_sweep_returns(self):
+        loss = _toy_loss(toy_model(seed=0))
+        # Tensor has __slots__ and no __weakref__, so watch the data arrays
+        arrays = [weakref.ref(t.data) for t in _graph(loss) if t._parents and t is not loss]
+        assert len(arrays) > 50 and all(ref() is not None for ref in arrays)
+        loss.backward()
+        assert [ref() for ref in arrays if ref() is not None] == []
+
+    def test_loss_side_arrays_die_before_the_stem_is_swept(self):
+        model = toy_model(seed=0)
+        loss = _toy_loss(model)
+        nodes = _graph(loss)
+        full = loss._parents[0]
+        cls, stem = ([t for t in nodes if t.op == "conv2d" and model.layers[name].weight in t._parents][0]
+                     for name in ("cls", "stem"))
+        assert full.op == "upsample2d" and full.shape[1:] == (16, 16)
+        watched = {"full-resolution logits": weakref.ref(full.data), "cls": weakref.ref(cls.data),
+                   "upsample2d input": weakref.ref(full._parents[0].data)}
+        alive_at_stem, stem_backward = [], stem._backward
+
+        def recording_backward(g):
+            alive_at_stem.append([name for name, ref in watched.items() if ref() is not None])
+            stem_backward(g)
+
+        stem._backward = recording_backward
+        del nodes, full, cls, stem
+        loss.backward()
+        assert alive_at_stem == [[]]
+
+    def test_relu_input_margin_of_a_swept_graph_raises(self):
+        model = toy_model(seed=0)
+        loss = _toy_loss(model)
+        assert np.isfinite(relu_input_margin(loss))
+        loss.backward()
+        with pytest.raises(RowGateError, match="released graph.*'softmax_ce'"):
+            relu_input_margin(loss)
 
     def test_second_backward_raises_and_leaves_leaf_grads_alone(self):
         x = parameter(np.array([[0.5, -1.0, 2.0]]))
