@@ -190,7 +190,7 @@ def draw_clear(draw: Callable[[], Case]) -> tuple[Case, float]:
     """
     for _ in range(MAX_DRAWS):
         case = draw()
-        margin = relu_input_margin(case.f())
+        margin = relu_input_margin(case.f)
         if margin > RELU_MARGIN:
             return case, margin
     raise NumericalError(

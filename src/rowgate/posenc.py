@@ -94,7 +94,7 @@ def inject(q: Tensor, table: Tensor, index: Optional[np.ndarray] = None) -> Tens
         index = index.astype(np.intp, copy=False)
 
     def d_table(g: np.ndarray) -> np.ndarray:
-        dt = np.zeros_like(table.data)
+        dt = np.zeros((rows, channels))
         np.add.at(dt, index, g.T)
         return dt
 

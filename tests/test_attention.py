@@ -342,7 +342,7 @@ class TestFullPipelineGradients:
     def test_gradients_match_finite_differences(self, pe_mode):
         cfg = small_config(pe_mode=pe_mode)
         case = gate_case(cfg, np.random.default_rng(30), 12, 12, 10)
-        assert relu_input_margin(case.f()) > 1e-3  # stay clear of the relu kink
+        assert relu_input_margin(case.f) > 1e-3  # stay clear of the relu kink
         report = gradcheck(case.f, case.params, eps=1e-5, tol=1e-4)
         assert report.passed, report.format()
 

@@ -1,19 +1,25 @@
-"""When the autodiff graph is recorded and when it is released.
+"""When the autodiff graph is recorded, what it keeps and when it is released.
 
 Inside ``no_grad`` every op returns a constant with bitwise the data it
-returns in grad mode; ``backward()`` frees each interior node's gradient,
-closure and parent links once used, so activations die during the sweep,
-and refuses to walk a released graph again.
+returns in grad mode.  A recorded graph holds nodes, not op outputs, so
+an output no backward closure reads dies with the forward;
+``backward()`` frees each node's gradient, closure and parent links once
+used, so activations die during the sweep, and refuses to walk a
+released graph again.
 """
 
+import json
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rowgate import config as cfgmod
-from rowgate import metrics
+from rowgate import metrics, posenc
 from rowgate import tensor as engine
 from rowgate.attention import GateSettings
 from rowgate.data import synth_banded
@@ -92,33 +98,33 @@ OPS = {
 }
 
 
-def _graph(root: Tensor) -> list[Tensor]:
-    """Every node reachable from ``root`` through its parents."""
-    nodes, seen, stack = [], set(), [root]
+def _graph(root: Tensor) -> list:
+    """Every graph node reachable from ``root``'s node through the parent nodes."""
+    nodes, seen, stack = [], set(), [root._node]
     while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t._parents)
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            nodes.append(n)
+            stack.extend(n.parents)
     return nodes
 
 
 def _sweep_keeping_graph(root: Tensor) -> None:
     """Reference reverse sweep in the engine's order that keeps every gradient and closure."""
-    order, seen, stack = [], set(), [(root, False)]
+    order, seen, stack = [], set(), [(root._node, False)]
     while stack:
-        t, expanded = stack.pop()
+        n, expanded = stack.pop()
         if expanded:
-            order.append(t)
-        elif id(t) not in seen:
-            seen.add(id(t))
-            stack.append((t, True))
-            stack.extend((p, False) for p in t._parents if id(p) not in seen and p.requires_grad)
-    root.accumulate_grad(np.ones_like(root.data))
-    for t in reversed(order):
-        if t._backward is not None and t.grad is not None:
-            t._backward(t.grad)
+            order.append(n)
+        elif id(n) not in seen:
+            seen.add(id(n))
+            stack.append((n, True))
+            stack.extend((p, False) for p in n.parents if id(p) not in seen)
+    root._node.accumulate_grad(np.ones_like(root.data))
+    for n in reversed(order):
+        if n.grad is not None:
+            n.backward(n.grad)
 
 
 def _toy_loss(model, seed=3):
@@ -128,17 +134,39 @@ def _toy_loss(model, seed=3):
     return softmax_cross_entropy(model.forward(image, training=True, rng=rng), labels)
 
 
+@pytest.fixture
+def outputs(monkeypatch):
+    """(op, shape, weak reference to the data, graph node) of every op output built while the test runs."""
+    seen, build = [], engine.node
+
+    def recording_node(data, op, *inputs):
+        out = build(data, op, *inputs)
+        seen.append((op, out.shape, weakref.ref(out.data), out._node))
+        return out
+
+    for module in (engine, posenc):
+        monkeypatch.setattr(module, "node", recording_node)
+    return seen
+
+
+def _cli_default_loss(model, seed=0):
+    rng = np.random.default_rng(seed)
+    image = rng.normal(size=(model.config.in_channels, 96, 48))
+    labels = rng.integers(0, model.config.num_classes, size=(96, 48))
+    return softmax_cross_entropy(model.forward(image, training=True, rng=rng), labels)
+
+
 class TestNoGrad:
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_op_output_is_a_bitwise_constant(self, name):
         recorded = OPS[name](np.random.default_rng(0))
-        assert recorded.requires_grad and recorded._parents and recorded._backward is not None
+        assert recorded.requires_grad and recorded._node is not None and recorded._backward is not None
         with no_grad():
             constant = OPS[name](np.random.default_rng(0))
         assert constant.data.tobytes() == recorded.data.tobytes()
         assert constant.shape == recorded.shape and constant.op == recorded.op
         assert not constant.requires_grad
-        assert constant._parents == () and constant._backward is None
+        assert constant._node is None and constant._backward is None
 
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_op_output_is_c_ordered_float64(self, name):
@@ -154,7 +182,7 @@ class TestNoGrad:
         with pytest.raises(ValueError):
             with no_grad():
                 raise ValueError("inside")
-        assert OPS["relu"](np.random.default_rng(0))._parents
+        assert OPS["relu"](np.random.default_rng(0))._node is not None
 
     def test_model_forward_is_bitwise_and_records_nothing(self):
         model = toy_model(seed=1)
@@ -163,7 +191,7 @@ class TestNoGrad:
         with no_grad():
             constant = model.forward(image, training=False)
         assert constant.data.tobytes() == recorded.data.tobytes()
-        assert _graph(constant) == [constant]
+        assert constant._node is None
 
     def test_eval_forward_peaks_lower(self):
         config = cfgmod.build_model_config(cfgmod.resolve(None))
@@ -188,6 +216,80 @@ class TestNoGrad:
         assert peaks["no_grad"] < peaks["graph"], peaks
 
 
+class TestLeafGradients:
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_leaf_gradients_are_c_ordered_float64(self, name, monkeypatch):
+        leaves, accumulate = [], Tensor.accumulate_grad
+
+        def recording_accumulate(t, g):
+            leaves.append(t)
+            accumulate(t, g)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", recording_accumulate)
+        rng = np.random.default_rng(0)
+        out = OPS[name](rng)
+        mul(out, engine.tensor(rng.normal(size=out.shape))).sum().backward()
+        grads = [t.grad for t in leaves if t.grad is not None]
+        assert grads
+        for g in grads:
+            assert type(g) is np.ndarray and g.dtype == np.float64
+            assert g.flags.c_contiguous, g.strides
+
+
+class TestGraphKeepsOnlyWhatBackwardReads:
+    def test_unread_outputs_are_dead_while_the_graph_lives(self, outputs):
+        model = ToySegModel.build(cfgmod.build_model_config(cfgmod.resolve(None)))
+        loss = _cli_default_loss(model)
+        data = {op: [ref for o, _, ref, _ in outputs if o == op] for op in ("conv2d", "relu", "upsample2d")}
+        assert [len(data[op]) for op in ("conv2d", "upsample2d")] == [10, 2]
+        assert loss._node.parents  # the graph lives
+        # every conv but cls feeds a relu; the first upsample is the `up` fed to concat_channels,
+        # the second the full-resolution logits
+        assert [ref() for ref in data["conv2d"][:9]] == [None] * 9
+        assert [ref() for ref in data["upsample2d"]] == [None, None]
+        assert all(ref() is not None for ref in data["relu"])  # each next conv reads its input
+
+    def test_cli_default_graph_is_under_4_mib_after_the_forward(self):
+        model = ToySegModel.build(cfgmod.build_model_config(cfgmod.resolve(None)))
+        _cli_default_loss(model).backward()  # warm the plan caches outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = _cli_default_loss(model, seed=1)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert loss._node.parents and held < 4.0 * 2**20, held / 2**20
+
+
+class TestReluInputMargin:
+    def test_matches_hand_minimum_and_records_no_graph(self):
+        rng = np.random.default_rng(5)
+        x, y = _p(rng, 2, 3, 4), _p(rng, 2, 3, 4)
+        results = []
+
+        def f():
+            results.append(add(relu(scale(x, 2.0)), relu(sub(x, y))).sum())
+            return results[-1]
+
+        by_hand = min(np.abs(x.data * 2.0).min(), np.abs(x.data - y.data).min())
+        assert relu_input_margin(f) == by_hand
+        assert len(results) == 1 and results[0]._node is None
+        assert relu_input_margin(lambda: sigmoid(x)) == np.inf
+
+    def test_collector_is_off_after_f_raises(self):
+        x = parameter(np.array([[0.5, -2.0]]))
+
+        def f():
+            relu(x)
+            raise ValueError("inside")
+
+        with pytest.raises(ValueError):
+            relu_input_margin(f)
+        assert engine._relu_margin is None
+        assert relu(x)._node is not None  # and the graph is recorded again
+
+
 class TestBackwardReleases:
     def test_interior_nodes_drop_grads_and_leaf_grads_are_unchanged(self):
         model = toy_model(seed=0)
@@ -198,50 +300,42 @@ class TestBackwardReleases:
             p.grad = None
 
         loss = _toy_loss(model)
-        interior = [t for t in _graph(loss) if t._parents]  # a swept root reaches nothing
+        interior = _graph(loss)
         loss.backward()
         for p, g in zip(params, kept):
             assert p.grad.tobytes() == g.tobytes()
         assert len(interior) > 50
-        assert all(t.grad is None and t._backward is None for t in interior)
-        assert all(t._parents is None for t in interior)
+        assert all(n.grad is None and n.backward is None for n in interior)
+        assert all(n.parents is None for n in interior)
 
-    def test_every_interior_array_is_dead_when_the_sweep_returns(self):
+    def test_every_interior_array_is_dead_when_the_sweep_returns(self, outputs):
         loss = _toy_loss(toy_model(seed=0))
         # Tensor has __slots__ and no __weakref__, so watch the data arrays
-        arrays = [weakref.ref(t.data) for t in _graph(loss) if t._parents and t is not loss]
-        assert len(arrays) > 50 and all(ref() is not None for ref in arrays)
+        arrays = [ref for _, _, ref, _ in outputs if ref() is not loss.data]
+        assert len(arrays) > 50 and any(ref() is not None for ref in arrays)
         loss.backward()
         assert [ref() for ref in arrays if ref() is not None] == []
 
-    def test_loss_side_arrays_die_before_the_stem_is_swept(self):
+    def test_loss_side_arrays_die_before_the_stem_is_swept(self, outputs):
         model = toy_model(seed=0)
         loss = _toy_loss(model)
-        nodes = _graph(loss)
-        full = loss._parents[0]
-        cls, stem = ([t for t in nodes if t.op == "conv2d" and model.layers[name].weight in t._parents][0]
-                     for name in ("cls", "stem"))
-        assert full.op == "upsample2d" and full.shape[1:] == (16, 16)
-        watched = {"full-resolution logits": weakref.ref(full.data), "cls": weakref.ref(cls.data),
-                   "upsample2d input": weakref.ref(full._parents[0].data)}
-        alive_at_stem, stem_backward = [], stem._backward
+        convs = [(ref, n) for op, _, ref, n in outputs if op == "conv2d"]
+        (_, stem), (cls, _) = convs[0], convs[-1]
+        (_, full_shape, full, _), upsample_input = ([o for o in outputs if o[0] == "upsample2d"][-1],
+                                                    [ref for op, _, ref, _ in outputs if op == "mul"][-1])
+        assert len(convs) == 10 and full_shape[1:] == (16, 16)
+        watched = {"full-resolution logits": full, "cls": cls, "upsample2d input": upsample_input}
+        alive_at_stem, stem_backward = [], stem.backward
 
         def recording_backward(g):
             alive_at_stem.append([name for name, ref in watched.items() if ref() is not None])
             stem_backward(g)
 
-        stem._backward = recording_backward
-        del nodes, full, cls, stem
+        stem.backward = recording_backward
+        del convs, stem, cls, full, upsample_input
+        outputs.clear()
         loss.backward()
         assert alive_at_stem == [[]]
-
-    def test_relu_input_margin_of_a_swept_graph_raises(self):
-        model = toy_model(seed=0)
-        loss = _toy_loss(model)
-        assert np.isfinite(relu_input_margin(loss))
-        loss.backward()
-        with pytest.raises(RowGateError, match="released graph.*'softmax_ce'"):
-            relu_input_margin(loss)
 
     def test_second_backward_raises_and_leaves_leaf_grads_alone(self):
         x = parameter(np.array([[0.5, -1.0, 2.0]]))
@@ -319,12 +413,30 @@ class TestCallSites:
         monkeypatch.setattr(metrics, "fork_map", lambda fn, jobs, min_jobs: map(fn, jobs))
         report = evaluate(model, data)
         np.testing.assert_array_equal(report.confusion, expected)
-        assert len(outputs) == 3 and all(out._parents == () for out in outputs)
+        assert len(outputs) == 3 and all(out._node is None for out in outputs)
 
     def test_draw_clear_still_finds_relu_margins(self):
         model = toy_model(seed=0)
         rng = np.random.default_rng(4)
         case, margin = draw_clear(lambda: toy_model_case(model, rng))
-        assert np.isfinite(margin) and margin == relu_input_margin(case.f())
+        assert np.isfinite(margin) and margin == relu_input_margin(case.f)
         gradcheck(case.f, case.params[:1])  # its probes run under no_grad
-        assert relu_input_margin(case.f()) == margin
+        assert relu_input_margin(case.f) == margin
+
+
+class TestTracerAdoption:
+    """The benchmark's tracer times each op's backward by wrapping ``out._backward``."""
+
+    def test_traced_train_step_times_every_backward_closure(self):
+        root = Path(__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", "train_gated", "--seed", "0",
+             "--seconds", "1", "--trace", "1"],
+            cwd=root, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        values = {name: m["value"] for name, m in report["metrics"].items()}
+        assert report["correct"]
+        assert values["tensor.graph_nodes"] > 0
+        assert values["tensor.backward_used_frac"] == 1.0
+        assert values["tensor.conv2d.bwd_ms"] > 0

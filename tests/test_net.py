@@ -98,6 +98,6 @@ class TestFullModelGradients:
     @pytest.mark.slow
     def test_all_gates_attached(self):
         case = toy_model_case(toy_model(), np.random.default_rng(2))
-        assert relu_input_margin(case.f()) > 1e-4
+        assert relu_input_margin(case.f) > 1e-4
         report = gradcheck(case.f, case.params, eps=1e-5, tol=1e-3)
         assert report.passed, report.format()
