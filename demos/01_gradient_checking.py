@@ -6,11 +6,12 @@ feature-map inputs, as ``rowgate gradcheck`` does.  Also shows the
 harness catching a deliberately oversized step size.
 """
 
-import numpy as np
-
+# rowgate before numpy: importing it pins BLAS to one thread, which holds only if numpy is not loaded yet
 from rowgate import attention as attn
 from rowgate.errors import NumericalError
 from rowgate.gradcheck import draw_clear, gate_case, gradcheck
+
+import numpy as np
 
 rng = np.random.default_rng(0)
 

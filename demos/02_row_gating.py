@@ -8,11 +8,12 @@ and as a grayscale heatmap.
 
 from pathlib import Path
 
-import numpy as np
-
+# rowgate before numpy: importing it pins BLAS to one thread, which holds only if numpy is not loaded yet
 from rowgate import attention as attn
 from rowgate.rasters import write_attention_csv, write_attention_pgm
 from rowgate.tensor import tensor
+
+import numpy as np
 
 rng = np.random.default_rng(1)
 out_dir = Path("demo_output")

@@ -5,8 +5,7 @@ and compares conditional against unconditional entropy, plus the
 height- versus width-wise distribution spread.
 """
 
-import numpy as np
-
+# rowgate before numpy: importing it pins BLAS to one thread, which holds only if numpy is not loaded yet
 from rowgate.data import synth_banded
 from rowgate.stats import (
     LabelMap,
@@ -16,6 +15,8 @@ from rowgate.stats import (
     region_report,
     render_report_text,
 )
+
+import numpy as np
 
 data = synth_banded(seed=5, n_images=40, height=96, width=48, num_classes=6, noise=0.5)
 maps = [LabelMap(ids=s.label, name=f"img{i}") for i, s in enumerate(data)]

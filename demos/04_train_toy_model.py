@@ -8,13 +8,14 @@ all odd ones, so only vertical position can tell group members apart.
 
 import time
 
-import numpy as np
-
+# rowgate before numpy: importing it pins BLAS to one thread, which holds only if numpy is not loaded yet
 from rowgate.attention import GateSettings
 from rowgate.data import synth_banded
 from rowgate.metrics import evaluate
 from rowgate.net import ToySegConfig, ToySegModel
 from rowgate.train import TrainConfig, train
+
+import numpy as np
 
 HEIGHT, WIDTH = 96, 48
 train_set = synth_banded(seed=0, n_images=80, height=HEIGHT, width=WIDTH, num_classes=6)

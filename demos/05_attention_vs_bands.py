@@ -6,14 +6,15 @@ relative to the band that generated it, next to the measured height-wise
 class distribution.
 """
 
-import numpy as np
-
+# rowgate before numpy: importing it pins BLAS to one thread, which holds only if numpy is not loaded yet
 from rowgate.attention import GateSettings
 from rowgate.data import nominal_bands, synth_banded
 from rowgate.metrics import evaluate
-from rowgate.net import ToySegConfig, ToySegModel
+from rowgate.net import LOGIT_STRIDE, ToySegConfig, ToySegModel
 from rowgate.stats import LabelMap, axis_distribution
 from rowgate.train import TrainConfig, train
+
+import numpy as np
 
 HEIGHT, WIDTH = 96, 48
 train_set = synth_banded(seed=0, n_images=80, height=HEIGHT, width=WIDTH, num_classes=6)
@@ -44,8 +45,8 @@ dist, _ = axis_distribution(
 
 print("class  gate-peak row   generating band   in-band  height-distribution peak")
 for k, (lo, hi) in enumerate(nominal_bands(HEIGHT, 6)):
-    row = int(pooled[k].argmax()) * 2  # logits live at stride 2
-    dist_row = int(dist[:, k].argmax()) * 2
-    inside = lo <= row < hi
+    row = int(pooled[k].argmax()) * LOGIT_STRIDE  # first image row of the peak gate row
+    dist_row = int(dist[:, k].argmax()) * LOGIT_STRIDE
+    inside = any(lo <= r < hi for r in range(row, row + LOGIT_STRIDE))  # criterion 7's rule
     print(f"  {k}        {row:3d}          [{lo:3d}, {hi:3d})      "
           f"{'yes' if inside else ' no'}          {dist_row:3d}")

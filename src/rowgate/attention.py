@@ -62,8 +62,8 @@ class GateSettings:
     dropout_p: float = 0.1
 
     def __post_init__(self):
-        if self.coarse_height < 1:
-            raise ConfigError(f"coarse_height must be >= 1, got {self.coarse_height}")
+        if self.coarse_height < 2:  # one row batch-normalizes to a constant gate with zero gradient
+            raise ConfigError(f"coarse_height must be >= 2, got {self.coarse_height}")
         if self.reduction < 1:
             raise ConfigError(f"reduction must be >= 1, got {self.reduction}")
         if self.pool_mode not in ("avg", "max"):

@@ -24,13 +24,13 @@ from . import config as cfgmod
 from . import gradcheck
 from . import stats as statsmod
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import IGNORE_LABEL, Sample, synth_banded
+from .data import Sample, synth_banded
 from .errors import ConfigError, DataError, NumericalError, RowGateError
 from .metrics import evaluate
-from .net import GATE_SITES, TRAIN_STREAM, ToySegModel, seed_stream
+from .net import TRAIN_STREAM, ToySegModel, seed_stream
 from .rasters import (
     load_label_dir,
-    read_label_map,
+    read_pgm,
     read_ppm,
     unit_to_u8,
     write_attention_csv,
@@ -79,8 +79,7 @@ def cmd_stats(args) -> int:
     bands = _parse_bands(args.bands)
     label_maps = load_label_dir(args.label_dir)
     report = statsmod.region_report(label_maps, args.classes, bands)
-    dists = {axis: statsmod.axis_distribution(label_maps, args.classes, axis=axis, bins=args.bins)
-             for axis in ("height", "width")}
+    dists = {axis: statsmod.axis_distribution(label_maps, args.classes, axis=axis) for axis in ("height", "width")}
     h_spread, w_spread = statsmod.distribution_divergence(dists["height"][0], dists["width"][0])
 
     out = Path(args.out)
@@ -153,11 +152,9 @@ def _dataset_from_config(values: dict[str, str], split: str) -> list[Sample]:
     for img_path in images:
         label_path = root / "labels" / (img_path.stem + ".pgm")
         image = read_ppm(img_path).astype(np.float64) / 255.0
-        ids = read_label_map(label_path).ids
+        ids = statsmod.check_ids(statsmod.LabelMap(read_pgm(label_path), str(label_path)), num_classes)
         if ids.shape != image.shape[1:]:
             raise DataError(f"{label_path}: label shape {ids.shape} differs from image {image.shape[1:]}")
-        if np.any((ids != IGNORE_LABEL) & ((ids < 0) | (ids >= num_classes))):
-            raise DataError(f"{label_path}: label ids outside [0, {num_classes}) and not {IGNORE_LABEL}")
         samples.append(Sample(image=image, label=ids.astype(np.uint8)))
     return samples
 
@@ -247,17 +244,14 @@ def cmd_attn(args) -> int:
     out = Path(args.out)
     values = cfgmod.resolve(args.config, args.set)
     model = _load_model(values, args.checkpoint)
-    sites = sorted(model.gates) if args.layer == "all" else [int(args.layer[1:])]
-    for site in sites:
-        if site not in model.gates:
-            raise RowGateError(f"layer L{site} has no gate in this model")
+    if args.labels and 5 not in model.gates:
+        raise RowGateError("--labels needs a gate at L5, and this model has none")
     image = read_ppm(args.image).astype(np.float64) / 255.0
-    label_maps = load_label_dir(args.labels) if 5 in sites and args.labels else None
+    label_maps = load_label_dir(args.labels) if args.labels else None
     with no_grad():
         _, maps = model.forward(image, training=False, collect_attention=True)
     _log_config(values, out)
-    for site in sites:
-        amap = maps[site]
+    for site, amap in sorted(maps.items()):
         write_attention_csv(out / f"attention_L{site}.csv", amap)
         write_attention_pgm(out / f"attention_L{site}.pgm", amap)
         print(f"L{site}: attention {amap.shape[0]} channels x {amap.shape[1]} rows -> "
@@ -294,11 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (repeatable)")
         p.add_argument("--out", required=out_required, help="output directory")
 
-    p = sub.add_parser("stats", help="label-raster class distribution and entropy report")
-    p.add_argument("label_dir", help="directory of .pgm/.png label rasters")
+    p = sub.add_parser("stats", help="per-band class distribution and entropy report, and the class "
+                                     "distribution along height and along width")
+    p.add_argument("label_dir", help="directory of label rasters: binary (P5) .pgm or .png")
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--bands", default="3", help="band count or comma-separated fractions")
-    p.add_argument("--bins", type=int, default=16)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_stats)
 
@@ -315,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("attn", help="dump attention maps for an image")
+    p = sub.add_parser("attn", help="dump every gate's attention map for an image")
     add_config_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True, help="input image (.ppm)")
-    p.add_argument("--layer", default="all", choices=["all"] + [f"L{site}" for site in GATE_SITES])
     p.add_argument("--labels", default=None,
-                   help="label dir for the L5 class-distribution side-by-side")
+                   help="label dir whose height-wise class distribution, at the L5 gate's rows, "
+                        "is written beside the maps (needs a gate at L5)")
     p.set_defaults(fn=cmd_attn)
 
     p = sub.add_parser("synth", help="materialize a synthetic banded dataset")

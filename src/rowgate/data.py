@@ -64,6 +64,8 @@ def synth_banded(
     """Generate a banded dataset; identical arguments give identical data."""
     if n_images < 1:
         raise ConfigError(f"need at least 1 image, got {n_images}")
+    if height < 1 or width < 1:
+        raise ConfigError(f"image size must be at least 1x1, got {height}x{width}")
     if num_classes < 3:
         raise ConfigError(f"need at least 3 classes, got {num_classes}")
     if num_classes > height:

@@ -1,9 +1,9 @@
 """Raster and CSV file IO: PGM/PPM images, label maps, heatmap exports.
 
-Labels travel as 8-bit grayscale PGM (pixel value = class id, 255 =
-ignore); RGB images as binary PPM.  PNG label rasters are read through
-Pillow when it is installed.  Heatmaps scale unit-interval matrices to
-0..255 grayscale.
+Labels travel as binary (P5) 8-bit grayscale PGM (pixel value = class
+id, 255 = ignore), or as PNG read through Pillow when it is installed;
+RGB images as binary (P6) PPM with maxval 255.  Heatmaps scale
+unit-interval matrices to 0..255 grayscale.
 """
 
 from __future__ import annotations
@@ -64,23 +64,16 @@ def _read_pnm_header(data: bytes, path) -> tuple[bytes, list[int], int]:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read P5 (binary) or P2 (ascii) grayscale with maxval <= 255."""
+    """Read binary (P5) grayscale with maxval <= 255, as ``write_pgm`` writes it."""
     data = _read_bytes(path)
     magic, (width, height, maxval), offset = _read_pnm_header(data, path)
-    if magic not in (b"P5", b"P2"):
-        raise DataError(f"{path}: expected P5/P2 PGM, got {magic!r}")
+    if magic != b"P5":
+        raise DataError(f"{path}: expected P5 PGM, got {magic!r}")
     if maxval > 255:
         raise DataError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
-    if magic == b"P5":
-        if len(data) - offset < width * height:
-            raise DataError(f"{path}: truncated PGM payload")
-        pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=offset)
-    else:
-        values = data[offset:].split()
-        if len(values) < width * height:
-            raise DataError(f"{path}: truncated ascii PGM payload")
-        pixels = np.array([int(v) for v in values[: width * height]], dtype=np.uint8)
-    return pixels.reshape(height, width)
+    if len(data) - offset < width * height:
+        raise DataError(f"{path}: truncated PGM payload")
+    return np.frombuffer(data, dtype=np.uint8, count=width * height, offset=offset).reshape(height, width)
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -94,10 +87,11 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
+    """Read binary (P6) RGB with maxval 255 as (3, H, W) uint8; callers scale by 255."""
     data = _read_bytes(path)
     magic, (width, height, maxval), offset = _read_pnm_header(data, path)
-    if magic != b"P6" or maxval > 255:
-        raise DataError(f"{path}: expected 8-bit P6 PPM")
+    if magic != b"P6" or maxval != 255:
+        raise DataError(f"{path}: expected P6 PPM with maxval 255, got {magic!r} with maxval {maxval}")
     if len(data) - offset < 3 * width * height:
         raise DataError(f"{path}: truncated PPM payload")
     pixels = np.frombuffer(data, dtype=np.uint8, count=3 * width * height, offset=offset)

@@ -52,7 +52,8 @@ class DistributionReport:
     average_conditional_entropy: float  # pixel-mass weighted
 
 
-def _check_ids(label_map: LabelMap, num_classes: int) -> np.ndarray:
+def check_ids(label_map: LabelMap, num_classes: int) -> np.ndarray:
+    """The map's ids; ``DataError`` names the first pixel outside ``[0, num_classes)`` and not ignore."""
     ids = label_map.ids
     bad = (ids != IGNORE_LABEL) & ((ids < 0) | (ids >= num_classes))
     if bad.any():
@@ -68,7 +69,7 @@ def class_histogram(label_maps: Iterable[LabelMap], num_classes: int) -> np.ndar
     """Exact integer pixel counts per class, ignore pixels excluded."""
     counts = np.zeros(num_classes, dtype=np.int64)
     for label_map in label_maps:
-        ids = _check_ids(label_map, num_classes)
+        ids = check_ids(label_map, num_classes)
         valid = ids[ids != IGNORE_LABEL]
         counts += np.bincount(valid.astype(np.int64), minlength=num_classes)
     return counts
@@ -132,7 +133,7 @@ def region_report(
         raise ConfigError(f"class count must be >= 1, got {num_classes}")
     counts = np.zeros((len(bands), num_classes), dtype=np.int64)
     for label_map in label_maps:
-        ids = _check_ids(label_map, num_classes)
+        ids = check_ids(label_map, num_classes)
         for b, (top, bottom) in enumerate(band_rows(label_map.height, bands)):
             chunk = ids[top:bottom]
             valid = chunk[chunk != IGNORE_LABEL]
@@ -184,7 +185,7 @@ def axis_distribution(
         raise ConfigError(f"bins must be >= 1, got {bins}")
     counts = np.zeros((bins, num_classes), dtype=np.int64)
     for label_map in label_maps:
-        ids = _check_ids(label_map, num_classes)
+        ids = check_ids(label_map, num_classes)
         grid = ids if axis == "height" else ids.T
         extent = grid.shape[0]
         for pos in range(extent):

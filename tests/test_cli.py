@@ -21,8 +21,9 @@ from rowgate.config import (
 )
 from rowgate.data import synth_banded
 from rowgate.errors import ConfigError
-from rowgate.net import ToySegConfig
-from rowgate.rasters import read_pgm, write_pgm, write_ppm
+from rowgate.net import LOGIT_STRIDE, ToySegConfig
+from rowgate.rasters import load_label_dir, read_pgm, unit_to_u8, write_matrix_csv, write_pgm, write_ppm
+from rowgate.stats import axis_distribution
 from rowgate.train import TrainConfig, TrainLog
 
 FAST_MODEL = [
@@ -32,6 +33,18 @@ FAST_MODEL = [
     "--set", "data.n_train=6", "--set", "data.n_val=3",
     "--set", "train.max_iteration=5", "--set", "train.batch_size=2",
 ]
+
+
+def matrix_csv_text(tmp_path, matrix) -> str:
+    write_matrix_csv(tmp_path / "expected.csv", matrix)
+    return (tmp_path / "expected.csv").read_text()
+
+
+def write_input_image(tmp_path, seed):
+    sample = synth_banded(seed=seed, n_images=1, height=16, width=16, num_classes=4)[0]
+    image_path = tmp_path / "input.ppm"
+    write_ppm(image_path, unit_to_u8(sample.image))
+    return image_path
 
 
 def write_banded_labels(directory, n=4, num_classes=4):
@@ -157,18 +170,33 @@ class TestStatsCommand:
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flags", [["--classes", "-1"], ["--classes", "0"],
-                                       ["--classes", "4", "--bins", "0"]],
+    # stats has no --bins: the distributions use axis_distribution's default bin count
+    @pytest.mark.parametrize("flags, named", [(["--classes", "-1"], "class count"),
+                                              (["--classes", "0"], "class count"),
+                                              (["--classes", "4", "--bins", "0"], "unrecognized arguments: --bins")],
                              ids=["classes_negative", "classes_zero", "bins_zero"])
-    def test_bad_count_fails_on_one_line_and_writes_nothing(self, flags, tmp_path, capsys):
+    def test_bad_count_fails_on_one_line_and_writes_nothing(self, flags, named, tmp_path, capsys):
         labels = tmp_path / "labels"
         write_banded_labels(labels)
         out = tmp_path / "o"
         code = main(["stats", str(labels), *flags, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("value", ["300", "abc"])
+    def test_ascii_label_fails_on_one_line_and_writes_nothing(self, value, tmp_path, capsys):
+        labels = tmp_path / "labels"
+        write_banded_labels(labels)
+        (labels / "ascii.pgm").write_text(f"P2\n1 1\n255\n{value}\n")
+        out = tmp_path / "o"
+        code = main(["stats", str(labels), "--classes", "4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ") and "ascii.pgm" in err
+        assert "expected P5 PGM" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -203,19 +231,22 @@ class TestGradcheckCommand:
         assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, code", [
-    ([], 1),
-    (["bogus"], 1),
-    (["stats"], 1),
-    (["gradcheck", "--epsilon", "1e-6"], 1),
-    (["train", "--set"], 1),
-    (["attn", "--out", "o", "--checkpoint", "c", "--image", "i", "--layer", "foo"], 1),
-    (["attn", "--out", "o", "--checkpoint", "c", "--image", "i", "--layer", "LL5"], 1),
-    (["--help"], 0),
-    (["gradcheck", "--help"], 0),
+# attn has no --layer: it writes every gate the model has
+@pytest.mark.parametrize("argv, code, named", [
+    ([], 1, "command"),
+    (["bogus"], 1, "bogus"),
+    (["stats"], 1, "label_dir"),
+    (["gradcheck", "--epsilon", "1e-6"], 1, "--epsilon"),
+    (["train", "--set"], 1, "--set"),
+    (["attn", "--out", "o", "--checkpoint", "c", "--image", "i", "--layer", "foo"], 1,
+     "unrecognized arguments: --layer foo"),
+    (["attn", "--out", "o", "--checkpoint", "c", "--image", "i", "--layer", "LL5"], 1,
+     "unrecognized arguments: --layer LL5"),
+    (["--help"], 0, ""),
+    (["gradcheck", "--help"], 0, ""),
 ], ids=["no_command", "unknown_command", "stats_no_args", "epsilon_flag", "set_no_value",
         "attn_layer_foo", "attn_layer_LL5", "help", "gradcheck_help"])
-def test_usage_errors_exit_1_with_one_line(argv, code, capsys):
+def test_usage_errors_exit_1_with_one_line(argv, code, named, capsys):
     try:
         got = main(argv)
     except SystemExit as exc:  # --help prints the usage and exits
@@ -224,6 +255,7 @@ def test_usage_errors_exit_1_with_one_line(argv, code, capsys):
     assert got == code
     if code:
         assert err.count("\n") == 1 and err.startswith("error: rowgate") and out == ""
+        assert named in err
     else:
         assert out.startswith("usage: rowgate") and err == ""
 
@@ -309,11 +341,13 @@ def test_bad_training_setting_exits_1_with_one_line(setting, tmp_path, capsys):
     (["train", "--set", "train.weight_decay_attn=0.0001"], "train.weight_decay_attn"),
     (["train", "--set", "train.power=0.9"], "train.power"),
     (["gradcheck", "--set", "gradcheck.model_tolerance=1e-3"], "gradcheck.model_tolerance"),
+    (["train", "--set", "data.width=-4"], "-4"),
+    (["train", "--set", "gate.coarse_height=1"], "coarse_height"),
 ], ids=["data_source_key", "data_classes_key", "data_flag", "epsilon_flag", "negative_seed",
         "negative_data_seed", "negative_gradcheck_seed", "empty_val_split", "tolerance_nan",
         "epsilon_not_a_float", "crop_key", "in_channels_key", "momentum_key", "momentum_nan",
         "weight_decay_main_key", "weight_decay_main_nan", "weight_decay_attn_key", "power_key",
-        "model_tolerance_key"])
+        "model_tolerance_key", "negative_width", "coarse_height_one"])
 def test_bad_run_setting_exits_1_with_one_line(argv, named, tmp_path, capsys):
     if argv[0] == "train":
         argv = ["train", "--out", str(tmp_path / "run"), *FAST_MODEL, *argv[1:]]
@@ -322,6 +356,7 @@ def test_bad_run_setting_exits_1_with_one_line(argv, named, tmp_path, capsys):
     assert code == 1
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert named in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("key", ["gradcheck.tolerance"])
@@ -341,9 +376,11 @@ def test_bad_gradcheck_tolerance_is_caught_before_the_suite(key, value, monkeypa
     ["train", "--set", "data.height=18"],
     ["train", "--set", "data.height=16", "--set", "train.max_iteration=0"],
     ["synth", "--set", "data.n_train=0"],
+    ["synth", "--set", "data.width=-4"],
     ["gradcheck", "--set", "gradcheck.tolerance=nan"],
 ], ids=["attn_no_checkpoint", "eval_no_checkpoint", "train_height_not_divisible",
-        "train_coarser_than_context", "synth_empty_split", "gradcheck_tolerance_nan"])
+        "train_coarser_than_context", "synth_empty_split", "synth_negative_width",
+        "gradcheck_tolerance_nan"])
 def test_failing_command_writes_nothing(argv, tmp_path, capsys):
     out = tmp_path / "o"
     code = main([arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(out)])
@@ -461,19 +498,46 @@ class TestTrainEvalAttn:
         write_ppm(image_path, np.clip(np.rint(sample.image * 255), 0, 255).astype(np.uint8))
         out = tmp_path / "attn"
         code = main(["attn", "--out", str(out), "--checkpoint", str(ckpt),
-                     "--image", str(image_path), "--layer", "L1", *FAST_MODEL])
+                     "--image", str(image_path), *FAST_MODEL])
         assert code == 0
         heat = read_pgm(out / "attention_L1.pgm")
         assert set(np.unique(heat)) <= {127, 128}
 
     def test_missing_gate_layer_fails(self, run_dir, tmp_path, capsys):
-        sample = synth_banded(seed=11, n_images=1, height=16, width=16, num_classes=4)[0]
-        image_path = tmp_path / "input.ppm"
-        write_ppm(image_path, np.clip(np.rint(sample.image * 255), 0, 255).astype(np.uint8))
-        code = main(["attn", "--out", str(tmp_path / "o"), "--checkpoint",
-                     str(run_dir / "model.ckpt"), "--image", str(image_path),
-                     "--layer", "L5", *FAST_MODEL])
+        """--labels asks for the L5 gate's rows; FAST_MODEL gates L1-L4 only."""
+        image_path = write_input_image(tmp_path, seed=11)
+        labels = tmp_path / "labels"
+        write_banded_labels(labels)
+        out = tmp_path / "o"
+        code = main(["attn", "--out", str(out), "--checkpoint", str(run_dir / "model.ckpt"),
+                     "--image", str(image_path), "--labels", str(labels), *FAST_MODEL])
+        err = capsys.readouterr().err
         assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ") and "L5" in err
+        assert not out.exists()
+
+    def test_labels_distribution_at_the_logit_gate_rows(self, tmp_path):
+        from rowgate.checkpoint import save_checkpoint
+        from rowgate.config import build_model_config, render_model, resolve
+        from rowgate.net import ToySegModel
+
+        flags = [*FAST_MODEL, "--set", "model.gate_layers=1,5"]
+        values = resolve(None, [o for o in flags if o != "--set"])
+        ckpt = tmp_path / "l5.ckpt"
+        save_checkpoint(ckpt, ToySegModel.build(build_model_config(values)).state_arrays(),
+                        render_model(values))
+        image_path = write_input_image(tmp_path, seed=12)
+        labels = tmp_path / "labels"
+        write_banded_labels(labels)
+        out = tmp_path / "attn"
+        assert main(["attn", "--out", str(out), "--checkpoint", str(ckpt), "--image", str(image_path),
+                     "--labels", str(labels), *flags]) == 0
+        assert sorted(p.name for p in out.glob("attention_L*")) == [
+            "attention_L1.csv", "attention_L1.pgm", "attention_L5.csv", "attention_L5.pgm"]
+        rows = len((out / "attention_L5.csv").read_text().splitlines())
+        assert rows == 16 // LOGIT_STRIDE
+        per_bin, _ = axis_distribution(load_label_dir(labels), 4, "height", bins=rows)
+        assert (out / "height_class_distribution.csv").read_text() == matrix_csv_text(tmp_path, per_bin)
 
     def test_zero_iteration_training_still_evaluates(self, tmp_path):
         out = tmp_path / "zero"

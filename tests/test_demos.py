@@ -43,6 +43,19 @@ def test_demo_compiles_and_its_rowgate_imports_resolve(path):
             pytest.fail(f"{path.name}:{call.lineno}: {ast.unparse(func)}(...) does not bind: {exc}")
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_imports_rowgate_before_numpy(path):
+    """``import rowgate`` pins BLAS to one thread, which holds only while numpy is not loaded yet."""
+    roots = []  # top-level package of each module-level import, in order
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Import):
+            roots += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            roots.append(node.module.split(".")[0])
+    assert "rowgate" in roots
+    assert "numpy" not in roots[: roots.index("rowgate")]
+
+
 @pytest.mark.parametrize("name", ["01_gradient_checking", "02_row_gating", "03_scene_statistics"])
 def test_demo_exits_cleanly(name, tmp_path):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)

@@ -27,9 +27,11 @@ class TestPGM:
         npt.assert_array_equal(read_pgm(path), image)
 
     def test_ascii_variant(self, tmp_path):
+        """Only binary PGM is read, as write_pgm writes it; an ascii (P2) file is refused."""
         path = tmp_path / "a.pgm"
         path.write_text("P2\n# comment\n3 2\n255\n0 1 2\n3 4 255\n")
-        npt.assert_array_equal(read_pgm(path), [[0, 1, 2], [3, 4, 255]])
+        with pytest.raises(DataError, match="expected P5 PGM"):
+            read_pgm(path)
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
@@ -43,11 +45,9 @@ class TestPGM:
 
 
 def pnm_bytes(fmt, magic=None, width=2, height=2, maxval=255, short=False) -> bytes:
-    """A 2x2 ``fmt`` file (P5, P2 or P6) whose header may lie about a field."""
+    """A 2x2 ``fmt`` file (P5 or P6) whose header may lie about a field."""
     count = 12 if fmt == "P6" else 4
-    values = list(range(count - 1 if short else count))
-    payload = " ".join(map(str, values)).encode() + b"\n" if fmt == "P2" else bytes(values)
-    return f"{magic or fmt}\n{width} {height}\n{maxval}\n".encode() + payload
+    return f"{magic or fmt}\n{width} {height}\n{maxval}\n".encode() + bytes(range(count - 1 if short else count))
 
 
 # each header field corrupted in turn, and the error text that names it
@@ -61,7 +61,7 @@ HEADER_CORRUPTIONS = {
 
 
 class TestCorruptHeaders:
-    @pytest.mark.parametrize("fmt", ["P5", "P2", "P6"])
+    @pytest.mark.parametrize("fmt", ["P5", "P6"])
     def test_intact_file_reads(self, tmp_path, fmt):
         path = tmp_path / "ok.pnm"
         path.write_bytes(pnm_bytes(fmt))
@@ -69,7 +69,7 @@ class TestCorruptHeaders:
         assert image.size == (12 if fmt == "P6" else 4)
 
     @pytest.mark.parametrize("field", list(HEADER_CORRUPTIONS))
-    @pytest.mark.parametrize("fmt", ["P5", "P2", "P6"])
+    @pytest.mark.parametrize("fmt", ["P5", "P6"])
     def test_each_field_rejected(self, tmp_path, fmt, field):
         corruption, message = HEADER_CORRUPTIONS[field]
         path = tmp_path / "bad.pnm"
@@ -89,6 +89,14 @@ class TestPPM:
         path = tmp_path / "x.ppm"
         write_ppm(path, image)
         npt.assert_array_equal(read_ppm(path), image)
+
+    @pytest.mark.parametrize("maxval", [15, 254])
+    def test_maxval_other_than_255_rejected(self, tmp_path, maxval):
+        """Every caller scales by 255, so a white maxval-15 pixel would read as 15/255."""
+        path = tmp_path / "x.ppm"
+        path.write_bytes(pnm_bytes("P6", maxval=maxval))
+        with pytest.raises(DataError, match=f"maxval {maxval}"):
+            read_ppm(path)
 
 
 class TestLabelLoading:
