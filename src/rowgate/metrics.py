@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,9 +33,10 @@ def confusion_matrix(prediction: np.ndarray, label: np.ndarray, num_classes: int
     pr = prediction[valid].astype(np.int64)
     if gt.size and (gt.min() < 0 or gt.max() >= num_classes):
         raise ShapeError(f"label ids outside [0, {num_classes})")
-    conf = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(conf, (gt, pr), 1)
-    return conf
+    if pr.size and (pr.min() < 0 or pr.max() >= num_classes):
+        raise ShapeError(f"prediction ids outside [0, {num_classes})")
+    cells = np.bincount(gt * num_classes + pr, minlength=num_classes * num_classes)
+    return cells.reshape(num_classes, num_classes)
 
 
 def iou_from_confusion(confusion: np.ndarray) -> tuple[np.ndarray, float]:
@@ -55,7 +57,7 @@ def region_slices(height: int) -> list[slice]:
     return [slice(top, bottom) for top, bottom in nominal_bands(height, REGION_COUNT)]
 
 
-def _image_counts(model, sample: Sample, k: int) -> list[np.ndarray]:
+def _image_counts(model, k: int, sample: Sample) -> list[np.ndarray]:
     """One image's confusion in each region, from a forward that records no graph."""
     with no_grad():
         prediction, label = model.forward(sample.image, training=False).data.argmax(axis=0), sample.label
@@ -67,13 +69,16 @@ def _image_counts(model, sample: Sample, k: int) -> list[np.ndarray]:
 def evaluate(model, dataset: list[Sample]) -> EvalReport:
     """Accumulate confusions over the dataset in eval mode, the images fanned out by ``fork_map``.
 
-    An eval-mode forward must be fork-safe and free of side effects.  Only
-    integer counts are summed, so the report does not depend on the worker count.
+    The model is pickled and sent to the workers with each call, so a
+    second call forks nothing; an eval-mode forward must be free of side
+    effects, and a model that does not pickle runs in workers forked for
+    the call instead.  Only integer counts are summed, so the report does
+    not depend on the worker count.
     The regions cover every row, so their confusions sum to the whole one.
     """
     k = model.config.num_classes
     regional = [np.zeros((k, k), dtype=np.int64) for _ in range(REGION_COUNT)]
-    for regions in fork_map(lambda s: _image_counts(model, s, k), dataset, 2):
+    for regions in fork_map(partial(_image_counts, model, k), dataset, 2):
         for acc, region in zip(regional, regions):
             acc += region
     total = sum(regional)

@@ -6,8 +6,11 @@ numpy's way to make independent streams for parallel work).  Image j's
 flip, dropout and positional jitter draw only from child j, and
 batch norm is per image, so an image's loss, gradients and batch
 statistics are a function of the weights, its sample and its stream
-alone.  The images of a step are therefore fanned out by ``fork_map``:
-each job backpropagates its ``loss / batch_size`` and returns its loss,
+alone.  The images of a step are therefore fanned out by ``fork_map``
+as jobs of ``_image_step``, each carrying its sample and its generator;
+the model goes with the mapped ``partial``, so a kept worker receives
+the current weights at every step.  Each job backpropagates its
+``loss / batch_size`` and returns its loss,
 its parameter gradients and what its forward pass added to the
 batch-norm running buffers, which it starts from zero, so they hold
 exactly ``m * mean`` and ``m * var``.  The caller then adds the
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -77,6 +81,32 @@ def make_optimizer(model: ToySegModel) -> SGDMomentum:
     ])
 
 
+def _params_and_norms(model: ToySegModel) -> tuple[list, list]:
+    """The model's parameters, and the batch norms of its gates in a fixed order."""
+    norms = [norm for _, gate in model.gates.values() for norm in (gate.norm1, gate.norm2)]
+    return [p for _, p in model.named_parameters()], norms
+
+
+def _image_step(model: ToySegModel, batch_size: int, job: tuple[Sample, np.random.Generator]):
+    """One image's loss, parameter gradients and running-buffer contributions.
+
+    Leaves every ``p.grad`` at None and zeroed running buffers in the
+    model; the caller puts the real buffers back.
+    """
+    sample, image_rng = job
+    params, norms = _params_and_norms(model)
+    for norm in norms:
+        norm.running_mean = np.zeros_like(norm.running_mean)
+        norm.running_var = np.zeros_like(norm.running_var)
+    try:
+        image, label = augment(sample, image_rng)
+        loss = softmax_cross_entropy(model.forward(image, training=True, rng=image_rng), label)
+        scale(loss, 1.0 / batch_size).backward()
+        return loss.item(), [p.grad for p in params], [(n.running_mean, n.running_var) for n in norms]
+    finally:
+        zero_grads(params)
+
+
 def train(
     model: ToySegModel,
     dataset: list[Sample],
@@ -85,8 +115,9 @@ def train(
 ) -> TrainLog:
     """Run the configured number of iterations; deterministic given ``rng``.
 
-    The images of each step run through ``fork_map``, and their gradients
-    and batch-norm contributions are summed in batch order, so the result
+    The images of each step run through ``fork_map``, which forks its
+    workers at the first step and sends them the model at every step; the
+    gradients and batch-norm contributions are summed in batch order, so the result
     does not depend on the worker count.  A step that raises leaves every
     ``p.grad`` at None and the running buffers as they were before it.  A
     non-finite batch loss aborts with a ``DivergenceError`` naming the
@@ -95,36 +126,18 @@ def train(
     if not dataset:
         raise ConfigError("training dataset is empty")
     optimizer = make_optimizer(model)
-    params = [p for _, p in model.named_parameters()]
-    norms = [norm for _, gate in model.gates.values() for norm in (gate.norm1, gate.norm2)]
-
-    def image_step(job):
-        """One image's loss, parameter gradients and running-buffer contributions.
-
-        Leaves every ``p.grad`` at None and zeroed running buffers in the
-        model; the caller puts the real buffers back.
-        """
-        index, image_rng = job
-        for norm in norms:
-            norm.running_mean = np.zeros_like(norm.running_mean)
-            norm.running_var = np.zeros_like(norm.running_var)
-        try:
-            image, label = augment(dataset[index], image_rng)
-            loss = softmax_cross_entropy(model.forward(image, training=True, rng=image_rng), label)
-            scale(loss, 1.0 / config.batch_size).backward()
-            return loss.item(), [p.grad for p in params], [(n.running_mean, n.running_var) for n in norms]
-        finally:
-            zero_grads(params)
+    params, norms = _params_and_norms(model)
+    step = partial(_image_step, model, config.batch_size)
 
     log = TrainLog()
     for iteration in range(config.max_iteration):
         lr = poly_lr(iteration, config.base_lr, config.max_iteration)
         zero_grads(params)
         indices = rng.integers(0, len(dataset), size=config.batch_size)
-        jobs = list(zip(indices.tolist(), rng.spawn(config.batch_size)))
+        jobs = [(dataset[i], g) for i, g in zip(indices.tolist(), rng.spawn(config.batch_size))]
         buffers = [(n.running_mean, n.running_var) for n in norms]
         try:
-            results = list(fork_map(image_step, jobs, 2))
+            results = list(fork_map(step, jobs, 2))
         finally:
             for norm, (mean, var) in zip(norms, buffers):
                 norm.running_mean, norm.running_var = mean, var

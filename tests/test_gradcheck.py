@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rowgate import attention as attn
+from rowgate import parallel
 from rowgate.errors import ConfigError, NumericalError
 from rowgate.gradcheck import MAX_DRAWS, Case, draw_clear, gate_case, gradcheck
 from rowgate.tensor import Tensor, mul, parameter, relu, tensor
@@ -137,7 +138,8 @@ class TestDrawClear:
 
 
 def force_workers(monkeypatch, n):
-    """Make gradcheck see n usable CPUs, and count the workers it forks."""
+    """Make fork_map see n usable CPUs, with no worker kept from before, and count the workers it forks."""
+    parallel.shutdown()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -149,13 +151,34 @@ def bits(report):
     return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(p)) for p in report.params]
 
 
+def live_children():
+    """Pids of this process's children that have not been reaped, zombies included."""
+    pids = set()
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])  # the field after the state
+        except OSError:
+            continue  # a process that has just gone
+        if ppid == os.getpid():
+            pids.add(int(entry))
+    return pids
+
+
+def no_child_left():
+    """The live children are exactly fork_map's kept workers, and none remains after shutdown."""
+    assert live_children() == {w.pid for w in parallel._workers}
+    parallel.shutdown()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def assert_clean(params, values):
-    """Parameters restored, gradients dropped, and no worker left to reap."""
+    """Parameters restored, gradients dropped, and no worker left but the kept ones."""
     for (_, t), v in zip(params, values):
         assert t.data.tobytes() == v.tobytes()
         assert t.grad is None
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    no_child_left()
 
 
 def two_squares(n=300):

@@ -30,6 +30,13 @@ class TestConfusion:
         with pytest.raises(ShapeError):
             confusion_matrix(np.zeros((2, 2), int), np.full((2, 2), 9), 4)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_prediction_rejected(self, bad):
+        prediction = np.zeros((2, 2), int)
+        prediction[1, 0] = bad
+        with pytest.raises(ShapeError, match=r"prediction ids outside \[0, 4\)"):
+            confusion_matrix(prediction, np.ones((2, 2), int), 4)
+
 
 class TestIoU:
     def test_perfect_prediction(self):

@@ -19,17 +19,41 @@ def test_submodules_are_not_shadowed():
         assert isinstance(getattr(rowgate, info.name), types.ModuleType), info.name
 
 
+# What importing the modules that fan out must not do: start a process, or
+# load a module that a fresh interpreter would otherwise not (set-up time).
+IMPORT_ONLY = """
+import os, sys
+import rowgate.train, rowgate.metrics, rowgate.gradcheck
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("child")
+except ChildProcessError:
+    pass
+print("loaded:", *(m for m in ("multiprocessing", "concurrent.futures", "subprocess", "selectors", "signal")
+                   if m in sys.modules))
+"""
+
+
+def test_importing_the_fan_out_starts_no_process_and_loads_no_process_module():
+    assert run_fresh(IMPORT_ONLY, ()) == ["loaded:"]
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_fresh(code: str, unset: tuple[str, ...], **preset) -> list[str]:
-    """The words ``code`` prints in a fresh interpreter, with ``unset`` cleared and then ``preset`` set."""
+def fresh_env(unset: tuple[str, ...] = (), **preset) -> dict[str, str]:
+    """This environment with ``unset`` cleared, ``preset`` set and this checkout's src/ first on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k not in unset}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env.update(preset)
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60)
+    return env
+
+
+def run_fresh(code: str, unset: tuple[str, ...], **preset) -> list[str]:
+    """The words ``code`` prints in a fresh interpreter, with ``unset`` cleared and then ``preset`` set."""
+    result = subprocess.run([sys.executable, "-c", code], env=fresh_env(unset, **preset),
+                            capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
 

@@ -2,10 +2,16 @@
 
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from rowgate import parallel
+from rowgate import tensor as engine
 from rowgate.attention import GateSettings
 from rowgate.data import Sample, augment, synth_banded
 from rowgate.errors import DivergenceError, NumericalError, ShapeError
@@ -14,14 +20,10 @@ from rowgate.metrics import evaluate
 from rowgate.net import ToySegConfig, ToySegModel
 from rowgate.optim import poly_lr
 from rowgate.parallel import fork_map
-from rowgate.tensor import mul, parameter, scale, softmax_cross_entropy, tensor, zero_grads
+from rowgate.tensor import mul, no_grad, parameter, scale, softmax_cross_entropy, tensor, zero_grads
 from rowgate.train import TrainConfig, make_optimizer, train
-from test_gradcheck import force_workers
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+from test_gradcheck import force_workers, live_children, no_child_left
+from test_package import fresh_env, run_fresh
 
 
 def small_model(gates=frozenset({1, 5})):
@@ -58,6 +60,19 @@ class Failing:
                 raise RuntimeError("worker only")
             os._exit(1 if self.fail == "exit" else 0)  # "quiet": status 0 but no result
         return self.model.forward(image, training=training)
+
+
+def process_state(job):
+    """The ``no_grad`` flag and numpy error state a job runs under, and where it runs."""
+    return engine._grad_enabled, np.geterr(), os.getpid()
+
+
+def square_unless_interrupted(job):
+    """x * x, or a KeyboardInterrupt for a negative x in the calling process."""
+    parent, x = job
+    if x < 0 and os.getpid() == parent:
+        raise KeyboardInterrupt
+    return x * x
 
 
 class TestForkMap:
@@ -127,6 +142,101 @@ class TestForkMap:
         assert runs[1] == runs[0]
         no_child_left()
 
+    def test_the_callers_no_grad_and_error_state_travel_with_each_chunk(self, monkeypatch):
+        forks = force_workers(monkeypatch, 2)
+        outside = (True, np.geterr())
+        assert [s[:2] for s in fork_map(process_state, range(4), 2)] == [outside] * 4
+        with no_grad(), np.errstate(over="raise", under="warn"):
+            inside = (False, np.geterr())
+            states = list(fork_map(process_state, range(4), 2))
+        assert [s[:2] for s in states] == [inside] * 4 and inside != outside
+        assert len({s[2] for s in states}) == 2  # the worker forked outside both ran half
+        assert [s[:2] for s in fork_map(process_state, range(4), 2)] == [outside] * 4
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_an_interrupt_in_the_callers_chunk_leaves_no_reply_to_read_later(self, monkeypatch):
+        forks = force_workers(monkeypatch, 2)
+        parent = os.getpid()
+        with pytest.raises(KeyboardInterrupt):
+            list(fork_map(square_unless_interrupted, [(parent, x) for x in (1, -1, 2, 3)], 2))
+        jobs = [(parent, x) for x in (4, 5, 6, 7)]
+        assert list(fork_map(square_unless_interrupted, jobs, 2)) == [16, 25, 36, 49]
+        assert len(forks) == 2  # the interrupted call's worker was killed, then replaced
+        no_child_left()
+
+
+# A 2-worker evaluate in a fresh interpreter.  It prints the kept worker's
+# pid, then waits if told to; at exit it reports whether a child is left,
+# after the pool's own exit handler, which is registered later.
+FRESH_EVALUATE = """
+import atexit, os, sys, time
+
+def children_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("some", flush=True)
+    except ChildProcessError:
+        print("none", flush=True)
+
+atexit.register(children_left)
+os.sched_getaffinity = lambda pid: {0, 1}
+from rowgate import parallel
+from rowgate.attention import GateSettings
+from rowgate.data import synth_banded
+from rowgate.metrics import evaluate
+from rowgate.net import ToySegConfig, ToySegModel
+
+model = ToySegModel.build(ToySegConfig(num_classes=6, widths=(4, 6, 6), gate_layers=frozenset({1}),
+                                       gate=GateSettings(coarse_height=2, reduction=2), seed=3))
+evaluate(model, synth_banded(seed=4, n_images=4, height=16, width=16))
+print(*(w.pid for w in parallel._workers), flush=True)
+if sys.argv[1:] == ["wait"]:
+    time.sleep(60)
+"""
+
+
+def running(pid):
+    """Whether process ``pid`` exists and has not exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except OSError:
+        return False
+
+
+class TestWorkerLifetime:
+    def test_an_interpreter_that_exits_leaves_no_process(self):
+        pid, left = run_fresh(FRESH_EVALUATE, ())
+        assert left == "none"
+        assert not running(int(pid))
+
+    def test_a_killed_interpreters_worker_exits_within_a_second(self):
+        proc = subprocess.Popen([sys.executable, "-c", FRESH_EVALUATE, "wait"], env=fresh_env(),
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            pid = int(proc.stdout.readline())
+            assert running(pid)
+        finally:
+            proc.kill()
+            proc.communicate(timeout=60)
+        deadline = time.monotonic() + 1.0
+        while running(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not running(pid)
+
+    def test_each_worker_holds_no_pipe_of_another(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        list(fork_map(square_unless_interrupted, [(0, x) for x in range(6)], 2))
+        pipes = {w.pid: {os.readlink(f"/proc/self/fd/{fd}") for fd in (w.replies, w.commands)}
+                 for w in parallel._workers}
+        assert len(pipes) == 2
+        for pid, own in pipes.items():
+            held = {os.readlink(f"/proc/{pid}/fd/{fd}") for fd in os.listdir(f"/proc/{pid}/fd")}
+            assert own <= held
+            assert not held & set().union(*(p for q, p in pipes.items() if q != pid))
+        no_child_left()
+
 
 class TestParallelEvaluate:
     def test_report_is_bitwise_the_same_for_any_worker_count(self, monkeypatch):
@@ -135,7 +245,8 @@ class TestParallelEvaluate:
         for n in (1, 2, 3):
             forks = force_workers(monkeypatch, n)
             reports.append(report_bits(evaluate(model, data)))
-            assert len(forks) == n - 1
+            assert report_bits(evaluate(model, data)) == reports[-1]
+            assert len(forks) == n - 1  # the second call forked nothing
             no_child_left()
         assert np.isnan(evaluate(model, data).per_class_iou[5])
         assert reports[1] == reports[0] and reports[2] == reports[0]
@@ -144,6 +255,20 @@ class TestParallelEvaluate:
         forks = force_workers(monkeypatch, 3)
         evaluate(small_model(), val_images(1))
         assert forks == []
+
+    def test_a_worker_killed_between_calls_is_reaped_and_replaced(self, monkeypatch):
+        model, data = small_model(), val_images()
+        force_workers(monkeypatch, 1)
+        expected = report_bits(evaluate(model, data))
+        forks = force_workers(monkeypatch, 3)
+        assert report_bits(evaluate(model, data)) == expected
+        victim = parallel._workers[0].pid
+        os.kill(victim, signal.SIGKILL)
+        while os.waitid(os.P_PID, victim, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+            time.sleep(0.001)  # until it has died, left for the pool to reap
+        assert report_bits(evaluate(model, data)) == expected
+        assert len(forks) == 3 and victim not in live_children()
+        no_child_left()
 
     @pytest.mark.parametrize("fail", ["exit", "quiet", "raise"])
     def test_failed_workers_give_the_sequential_report(self, monkeypatch, fail):
@@ -201,7 +326,7 @@ class TestParallelTrain:
             model = small_model()
             log = train(model, data, config, np.random.default_rng(9))
             runs.append((state_bits(model), [v.hex() for v in log.losses]))
-            assert len(forks) == (n - 1) * config.max_iteration
+            assert len(forks) == n - 1  # forked at the first step, reused at the others
             no_child_left()
         assert runs[1] == runs[0] and runs[2] == runs[0]
         force_workers(monkeypatch, 1)
@@ -209,6 +334,23 @@ class TestParallelTrain:
         one_image_at_a_time(reference, data, config, np.random.default_rng(9))
         assert state_bits(reference) == runs[0][0]  # running statistics included
         assert state_bits(small_model()) != runs[0][0]
+
+    def test_training_under_no_grad_is_bitwise_the_same_for_any_worker_count(self, monkeypatch):
+        # the workers are forked by a step outside no_grad, then serve steps inside it
+        data = synth_banded(seed=6, n_images=5, height=16, width=16)
+        config = TrainConfig(max_iteration=2, batch_size=3)
+        runs = []
+        for n in (1, 2, 3):
+            forks = force_workers(monkeypatch, n)
+            model, rng = small_model(), np.random.default_rng(9)
+            losses = train(model, data, config, rng).losses
+            with no_grad():
+                losses += train(model, data, config, rng).losses
+            losses += train(model, data, config, rng).losses
+            runs.append((state_bits(model), [v.hex() for v in losses]))
+            assert len(forks) == n - 1
+            no_child_left()
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_one_image_does_not_fork(self, monkeypatch):
         forks = force_workers(monkeypatch, 3)
