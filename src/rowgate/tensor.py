@@ -57,7 +57,12 @@ where ``np.pad``'s per-call overhead costs more than the convolution:
 one buffer and a few slice copies, from a plan of slices cached per
 shape (``_pad_plan``) as the convolution's geometry is (``_conv_plan``).
 Gather-based and ``np.concatenate`` pads measured 1.5-7x slower on the
-backbone's maps, so both ranks share this one pad.
+backbone's maps, so both ranks share this one pad.  conv2d's backward
+works channels last, pixels on the GEMM's rows: the input gradient adds
+one contiguous block per tap into a flattened padded gradient, and the
+weight gradient copies tap windows out of a channels-last pad (``_pad``
+of a transposed view) in whole-row runs, bitwise the channels-first
+loop that still runs for conv1d and the shapes ``_conv_plan`` leaves it.
 """
 
 from __future__ import annotations
@@ -428,8 +433,12 @@ def _unpad(g: Array, shape: tuple, pads: tuple) -> Array:
 def _conv_plan(op: str, x_shape: tuple, w_shape: tuple, b_shape: tuple, stride: int, dilation: int):
     """Checked geometry of one convolution, cached per shape.
 
-    Pads, flat and full output shapes, window shape, the channels-last axis order, and per
-    tap in row-major order its (C_out, C_in) kernel index and strided padded-input window.
+    Pads, flat and full output shapes, window shape, the channels-last axis order, per
+    tap in row-major order its (C_out, C_in) kernel index and strided padded-input
+    window, and the channels-last backward's plan, ``None`` where that does not run:
+    the padded gradient's shape, the shape its adds view it at and one tap's block
+    shape, ``g`` zero-padded to rows, the rows one GEMM reads of it, and per tap its
+    kernel index, channels-last input window and block in the viewed gradient.
     """
     c_in, spatial = x_shape[0], x_shape[1:]
     if len(w_shape) != len(x_shape) + 1:
@@ -447,21 +456,51 @@ def _conv_plan(op: str, x_shape: tuple, w_shape: tuple, b_shape: tuple, stride: 
         slice(i * dilation, i * dilation + stride * (o - 1) + 1, stride) for i, o in zip(idx, out)))
         for idx in np.ndindex(*extents))
     flat = (c_out, int(np.prod(out)))
-    return pads, flat, (c_out,) + out, (c_in,) + out, tuple(range(1, len(x_shape))) + (0,), taps
+    rows = None
+    # conv2d only.  The two GEMM orientations sum alike where the channels and the positions
+    # fill whole 8-wide vectors (OpenBLAS sums a tile edge of 1-4 in another order, and numpy
+    # takes its vector path at one position), and a 1x1 stride-1 kernel's weight gradient
+    # reads the whole unpadded input in place.
+    if len(x_shape) == 3 and not (c_in % 8 or flat[1] % 8) and (stride > 1 or len(taps) > 1):
+        (hp, wp), (ho, wo) = (n + 2 * p for n, p in zip(spatial, pads)), out
+        width = wp if stride == 1 else wo  # row width of the zero-padded g
+        length = (ho - 1) * width + wo  # its rows one GEMM reads
+        row_taps = []
+        for k, (_, v, h) in taps:
+            win = (v, h, slice(None))
+            # stride 1: the tap's block starts v.start padded rows and h.start columns in
+            start = v.start * wp + h.start
+            row_taps.append((k, win, slice(start, start + length) if stride == 1 else win))
+        adds, block = ((hp * wp, c_in), (length, c_in)) if stride == 1 else ((hp, wp, c_in), (ho, wo, c_in))
+        rows = ((hp, wp, c_in), adds, block, (ho, width, c_out), length, tuple(row_taps))
+    return pads, flat, (c_out,) + out, (c_in,) + out, tuple(range(1, len(x_shape))) + (0,), taps, rows
 
 
 def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, dilation: int, op: str) -> Tensor:
     """Replicate-padded convolution over the trailing axes of a (C_in, *spatial) input.
 
     Padding is ``dilation * (K - 1) / 2`` per side on each axis.  One GEMM
-    per tap, accumulated from zeros with the bias added last; the backward
-    pass feeds BLAS the operand layouts ``np.tensordot`` would.  The graph
+    per tap, accumulated from zeros with the bias added last.  The graph
     keeps ``x.data`` but no padded copy of it: the weight gradient pads it
     again, which the backward reads as it was wrapped because tensor data
     is immutable, so the same bytes are padded and every bit is the same.
+
+    conv2d's backward works channels last, pixels on the GEMM's row axis.
+    The input gradient runs one GEMM per tap on ``g`` zero-padded to
+    padded-width rows and adds each result into the flattened padded
+    gradient as one contiguous block at that tap's offset; the junk rows
+    carry exact zeros, and the accumulator starts at +0.0 and never holds
+    -0.0, so they change no sum.  Stride 2 adds channels-last windows
+    instead.  The weight gradient copies each tap window from a
+    channels-last padded input in runs of whole rows.  Both give the bits
+    of the channels-first loop, which feeds BLAS the operand layouts
+    ``np.tensordot`` would, only where ``_conv_plan`` picks them: channel
+    and position counts in multiples of 8 and no 1x1 stride-1 kernel.
+    Elsewhere (every conv1d, the stem's three input channels, small maps)
+    that loop runs as it is.
     """
     w, x_shape = weight.data, x.data.shape
-    pads, flat, out_shape, win_shape, channels_last, taps = _conv_plan(
+    pads, flat, out_shape, win_shape, channels_last, taps, rows = _conv_plan(
         op, x_shape, w.shape, bias.data.shape, stride, dilation
     )
     c_in, xd = w.shape[1], x.data
@@ -473,17 +512,32 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor, stride: int, dilation: int, o
 
     def d_input(g: Array) -> Array:
         g = g.reshape(flat)
-        dxp = np.zeros(_pad_plan(x_shape, pads)[0])
-        for k, win in taps:
-            dxp[win] += np.dot(w[k].T, g).reshape(win_shape)
-        return _unpad(dxp, x_shape, pads)
+        if rows is None:
+            dxp = np.zeros(_pad_plan(x_shape, pads)[0])
+            for k, win in taps:
+                dxp[win] += np.dot(w[k].T, g).reshape(win_shape)
+            return _unpad(dxp, x_shape, pads)
+        padded, adds, block, g_rows, length, row_taps = rows
+        gz = np.zeros(g_rows)
+        gz[:, :out_shape[2]] = g.reshape(out_shape).transpose(1, 2, 0)
+        gz = gz.reshape(-1, flat[0])[:length]
+        dxl = np.zeros(padded)
+        dxa = dxl.reshape(adds)
+        for k, _, dst in row_taps:
+            dxa[dst] += np.dot(gz, w[k]).reshape(block)
+        return _unpad(dxl.transpose(2, 0, 1), x_shape, pads)
 
     def d_weight(g: Array) -> Array:
         g = g.reshape(flat)
-        xp = _pad(xd, pads)
         dw = np.empty_like(w)
-        for k, win in taps:
-            dw[k] = np.dot(g, xp[win].transpose(channels_last).reshape(-1, c_in))
+        if rows is None:
+            xp = _pad(xd, pads)
+            for k, win in taps:
+                dw[k] = np.dot(g, xp[win].transpose(channels_last).reshape(-1, c_in))
+            return dw
+        xl = _pad(xd.transpose(channels_last), pads + (0,))
+        for k, win, _ in rows[-1]:
+            dw[k] = np.dot(g, xl[win].reshape(-1, c_in))
         return dw
 
     return node(y.reshape(out_shape), op, (x, d_input), (weight, d_weight),

@@ -69,6 +69,31 @@ def test_import_pins_blas_to_one_thread_unless_set():
     assert blas_threads_after_import(OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
 
 
+def numpy_bundles_scipy_openblas() -> bool:
+    import ctypes
+
+    try:
+        import numpy._core._multiarray_umath as core
+    except ImportError:
+        return False
+    return hasattr(ctypes.CDLL(core.__file__), "scipy_openblas_get_num_threads64_")
+
+
+# numpy loads first and reads no thread variable; rowgate then pins the loaded library.
+NUMPY_FIRST = """
+import ctypes
+import numpy
+import rowgate
+import numpy._core._multiarray_umath as core
+print(ctypes.CDLL(core.__file__).scipy_openblas_get_num_threads64_())
+"""
+
+
+@pytest.mark.skipif(not numpy_bundles_scipy_openblas(), reason="numpy bundles no scipy-openblas here")
+def test_import_pins_blas_that_numpy_loaded_first():
+    assert run_fresh(NUMPY_FIRST, BLAS_VARS) == ["1"]
+
+
 MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 
 # Minor page faults of the CLI-default model, in one process: each of 10

@@ -180,6 +180,17 @@ def output_and_grads(y, inputs, rng):
     return y.data, g, [t.grad for t in inputs]
 
 
+def assert_conv2d_matches_np_pad(rng, c_in, c_out, kh, kw, stride, dilation, h, w, pad_mode):
+    """conv2d's output and all three gradients are bitwise ``conv2d_np_pad_reference``'s."""
+    x = parameter(rng.normal(size=(c_in, h, w)))
+    weight, bias = parameter(rng.normal(size=(c_out, c_in, kh, kw))), parameter(rng.normal(size=c_out))
+    y = conv2d(x, weight, bias, stride=stride, dilation=dilation)
+    y, g, grads = output_and_grads(y, [x, weight, bias], rng)
+    expected = conv2d_np_pad_reference(x.data, weight.data, bias.data, g, stride, dilation, pad_mode)
+    for actual, want in zip([y] + grads, expected):
+        assert_bitwise(actual, want)
+
+
 class TestHandRolledPaddingIsBitwise:
     """The hand-rolled padding reproduces ``np.pad`` and the convolutions built on it."""
 
@@ -210,13 +221,20 @@ class TestHandRolledPaddingIsBitwise:
     )
     def test_conv2d(self, pad_mode, kh, kw, stride, dilation, h, w):
         rng = np.random.default_rng(kh * 1000 + stride * 100 + dilation * 10 + h)
-        x = parameter(rng.normal(size=(2, h, w)))
-        weight, bias = parameter(rng.normal(size=(3, 2, kh, kw))), parameter(rng.normal(size=3))
-        y = conv2d(x, weight, bias, stride=stride, dilation=dilation)
-        y, g, grads = output_and_grads(y, [x, weight, bias], rng)
-        expected = conv2d_np_pad_reference(x.data, weight.data, bias.data, g, stride, dilation, pad_mode)
-        for actual, want in zip([y] + grads, expected):
-            assert_bitwise(actual, want)
+        assert_conv2d_matches_np_pad(rng, 2, 3, kh, kw, stride, dilation, h, w, pad_mode)
+
+    # The CLI-default backbone's layers, at their channel counts and input sizes: layout
+    # effects in the GEMMs and the padded-gradient adds show here, not on the small maps above.
+    @pytest.mark.parametrize(
+        "c_in, c_out, stride, dilation, h, w",
+        [(3, 16, 1, 1, 96, 48), (16, 16, 2, 1, 96, 48), (16, 32, 1, 1, 48, 24), (32, 32, 2, 1, 48, 24),
+         (32, 16, 1, 1, 24, 12), (32, 16, 1, 2, 24, 12), (32, 16, 1, 4, 24, 12),
+         (64, 32, 1, 1, 48, 24), (32, 32, 1, 1, 48, 24), (32, 6, 1, 1, 48, 24)],
+        ids=["stem", "down1", "enc", "down2", "ctx1", "ctx2", "ctx4", "dec", "head", "cls"],
+    )
+    def test_conv2d_at_model_layer(self, c_in, c_out, stride, dilation, h, w):
+        rng = np.random.default_rng(c_in * 1000 + c_out * 10 + stride * dilation)
+        assert_conv2d_matches_np_pad(rng, c_in, c_out, 3, 3, stride, dilation, h, w, "replicate")
 
 
 # Each op on (C, L) data, conv2d with the data and kernel given a unit trailing axis.
@@ -517,7 +535,7 @@ class TestSoftmaxCrossEntropy:
 class TestPrimitiveGradients:
     """Central finite differences agree with every primitive's backward.
 
-    Ten seeded trials per primitive, ten primitives: 100 checks total.
+    Ten seeded trials per test, twelve tests (dropout at two rates): 120 checks total.
     """
 
     TRIALS = 10
@@ -671,6 +689,22 @@ class TestPrimitiveGradients:
             return f, [("gate", gate), ("x", x)]
 
         self._check(build, 2)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_dropout_in_training(self, p):
+        def build(rng):
+            x = parameter(rng.normal(size=(3, 7)))
+            t = rng.normal(size=(3, 7))
+            seed = int(rng.integers(2**32))
+
+            def f():
+                # a generator rebuilt from one seed: every evaluation draws the same mask
+                y = dropout(x, p, np.random.default_rng(seed), training=True)
+                return mul(sigmoid(y), tensor(t)).sum()
+
+            return f, [("x", x)]
+
+        self._check(build, 1)
 
 
 class TestSGDMomentum:
